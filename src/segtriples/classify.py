@@ -25,12 +25,13 @@ from .triples import (
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
-    dominating_extensions,
+    _extend,
+    _peel,
     is_admissible,
     is_alternated,
     linking_sign,
+    make_triple,
     parse_triple,
-    reduce_at,
     singles_defined,
     subordinate_reductions,
     triple_text,
@@ -84,8 +85,9 @@ def chain_violations(chain: ReductionChain) -> list:
             continue
         if step.sign not in (PLUS, MINUS):
             problems.append(f"{tag}: sign {step.sign} is not +1/-1")
-        if not (1 <= step.lower < step.upper):
-            problems.append(f"{tag}: need 1 <= lower < upper")
+        if not (isinstance(step.lower, int) and isinstance(step.upper, int)
+                and 1 <= step.lower < step.upper):
+            problems.append(f"{tag}: need integers 1 <= lower < upper")
         for a in (step.lower, step.upper):
             if not step.rho.matches_parity(a):
                 problems.append(f"{tag}: block {a} has the wrong parity for {step.rho.id}")
@@ -109,36 +111,17 @@ def chain_violations(chain: ReductionChain) -> list:
 
 
 def canonical_chain(t: JordanTriple) -> ReductionChain:
-    """The canonical chain of an admissible triple.
-
-    Peels pairs carrying +1 top-down, always at the smallest-id symbol
-    that still has one: among its +1 pairs take the one with maximal
-    upper endpoint for an even symbol, minimal for an odd one, and
-    record the pair's free linking bit before removing it.  The
-    surviving all-minus triple must be alternated, and the recorded
-    steps are returned base-up.
-    """
-    t.require_valid()
+    """The canonical chain of an admissible triple: the reductions of
+    ``is_admissible`` with each removed pair's free linking bit, base-up."""
+    reductions = is_admissible(t)
+    if reductions is None:
+        raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded = []
     cur = t
-    while True:
-        target = None
-        for rho in cur.symbols:
-            uppers = [hi for lo, hi in cur.adjacent_pairs(rho)
-                      if cur.pair(rho, lo, hi) == PLUS]
-            if uppers:
-                c = max(uppers) if rho.parity == EVEN else min(uppers)
-                target = (rho, c)
-                break
-        if target is None:
-            break
-        rho, c = target
-        blocks = cur.jord_of(rho)
-        lo = max(x for x in blocks if x < c)
-        recorded.append(ChainStep(rho, lo, c, linking_sign(cur, rho, lo, c)))
-        cur = reduce_at(cur, rho, lo, c)
-    if is_alternated(cur) is None:
-        raise NotAdmissibleError("no chain reaches an alternated triple")
+    for red in reductions:
+        recorded.append(ChainStep(red.rho, red.lower, red.upper,
+                                  linking_sign(cur, red.rho, red.lower, red.upper)))
+        cur = red.result
     return ReductionChain(cur, tuple(reversed(recorded)))
 
 
@@ -153,8 +136,7 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     chain.require_valid()
     cur = chain.base
     for step in chain.steps:
-        plus, minus = dominating_extensions(cur, step.lower, step.upper, step.rho)
-        cur = plus if step.sign == PLUS else minus
+        cur = _extend(cur, step.rho, step.lower, step.upper, step.sign)
     return cur
 
 
@@ -162,18 +144,15 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 
 def _sign_assignments(cusp, rho, blocks):
-    """All sign data on a fixed block set at one symbol."""
-    blocks = tuple(sorted(blocks))
+    """Every triple over cusp carrying exactly these blocks, all at rho."""
+    jord = [(rho, a) for a in blocks]
     if singles_defined(cusp, rho):
-        for bits in itertools.product((PLUS, MINUS), repeat=len(blocks)):
-            singles = {(rho, a): s for a, s in zip(blocks, bits)}
-            pairs = {(rho, lo, hi): singles[(rho, lo)] * singles[(rho, hi)]
-                     for lo, hi in zip(blocks, blocks[1:])}
-            yield singles, pairs
+        for bits in itertools.product((PLUS, MINUS), repeat=len(jord)):
+            yield make_triple(cusp, jord, dict(zip(jord, bits)))
     else:
-        adjacent = list(zip(blocks, blocks[1:]))
+        adjacent = [(rho, lo, hi) for lo, hi in zip(blocks, blocks[1:])]
         for bits in itertools.product((PLUS, MINUS), repeat=len(adjacent)):
-            yield {}, {(rho, lo, hi): s for (lo, hi), s in zip(adjacent, bits)}
+            yield JordanTriple(cusp, jord, pairs=dict(zip(adjacent, bits)))
 
 
 def _block_sets(rho, max_a, max_jord, explicit):
@@ -203,32 +182,28 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     Per symbol the candidate block sets are either listed explicitly in
     ``jord_sets`` (keyed by symbol id) or are all parity-correct
     subsets of [1, max_a], capped at ``max_jord`` blocks.  The result
-    is sorted by canonical text.
+    is sorted by canonical text: the product of the candidates each
+    symbol's canonical peel admits on its own, or nothing when the
+    support carries blocks at a symbol outside the list.
     """
     symbols = sorted(symbols, key=lambda s: s.id)
     jord_sets = jord_sets or {}
     per_symbol = []
     for rho in symbols:
-        choices = []
+        survivors = []
         for blocks in _block_sets(rho, max_a, max_jord, jord_sets.get(rho.id)):
             for a in blocks:
                 if not rho.matches_parity(a):
                     raise ValueError(f"block {a} has the wrong parity for {rho.id}")
-            for singles, pairs in _sign_assignments(cusp, rho, blocks):
-                choices.append((blocks, singles, pairs))
-        per_symbol.append(choices)
-    found = []
-    for combo in itertools.product(*per_symbol):
-        jord = []
-        singles = {}
-        pairs = {}
-        for rho, (blocks, s, p) in zip(symbols, combo):
-            jord.extend((rho, a) for a in blocks)
-            singles.update(s)
-            pairs.update(p)
-        t = JordanTriple(cusp, jord, singles, pairs)
-        if is_admissible(t) is not None:
-            found.append(t)
+            survivors += [t for t in _sign_assignments(cusp, rho, blocks)
+                          if _peel(t, rho) is not None]
+        per_symbol.append(survivors)
+    if any(cusp.jord_of(rho) and rho not in symbols for rho in cusp.symbols):
+        return []
+    found = [JordanTriple(cusp, [e for t in combo for e in t.jord],
+                          dict(kv for t in combo for kv in t.singles),
+                          dict(kv for t in combo for kv in t.pairs))
+             for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)
     return found
 

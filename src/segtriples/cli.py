@@ -9,8 +9,9 @@ usage or config error (bad flags, unknown names, malformed specs).
 The enumerate and dominance-dag subcommands honor SEGTRIPLES_CACHE_DIR:
 enumeration results are stored there under <digest>.triples, keyed by a
 hash of the whole canonicalized config, and a warm run replays the
-cached bytes without recomputing.  An unwritable cache directory only
-warns on stderr.
+cached bytes without recomputing.  An entry is written beside its final
+name and renamed into place, so a killed run never leaves a truncated
+entry to replay.  An unwritable cache directory only warns on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .lcalc import EmbeddingDatum, jord_update
 from .structural import GSpinTerm, expand_induced, induce
 from .triples import (
     NotAdmissibleError,
+    _parse_triple_record,
     parse_triple,
     subordinate_reductions,
     triple_text,
@@ -64,13 +66,8 @@ def _resolve_triple(cfg: RunConfig, args):
             return cfg.triples[args.triple]
         except KeyError:
             raise UsageError(f"no triple named {args.triple!r} in the config") from None
-    text = args.text
-    head = text.split(";", 1)[0].strip()
-    if not head.startswith("cusp="):
-        raise UsageError("a triple record starts with cusp=NAME")
-    cusp = _support(cfg, head[len("cusp="):])
     try:
-        return parse_triple(text, cusp, cfg.symbols)
+        return _parse_triple_record(args.text, cfg.supports, cfg.symbols)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -123,11 +120,17 @@ def _enumeration_texts(cfg: RunConfig) -> list:
                                  cfg.bounds["max_jord"], cfg.bounds["jord_sets"])
     texts = [triple_text(t) for t in found]
     if cache_path is not None:
+        partial = cache_path.with_name(f"{cache_path.name}.{os.getpid()}")
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text("".join(line + "\n" for line in texts), encoding="utf-8")
+            partial.write_text("".join(line + "\n" for line in texts), encoding="utf-8")
+            os.replace(partial, cache_path)
         except OSError as exc:
             print(f"warning: cache write failed: {exc}", file=sys.stderr)
+            try:
+                partial.unlink()
+            except OSError:
+                pass
     return texts
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from .algebra import EVEN, ODD, CuspidalSymbol, FormalSum, GLTerm, Segment, render_term
 from .halfint import HalfInt
 from .structural import ExpansionTable, GSpinTerm, induce
-from .triples import CuspidalSupport, parse_triple, triple_text
+from .triples import CuspidalSupport, _parse_triple_record, triple_text
 
 _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
 _SEG_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.-]*):\[([^,\[\]]+),([^,\[\]]+)\]$")
@@ -232,12 +232,8 @@ def _load_triples(raw, symbols, supports):
     for name, text in raw.items():
         _ident(name, "triples")
         _require(isinstance(text, str), f"triples: {name!r} must be a string")
-        head = text.split(";", 1)[0].strip()
-        _require(head.startswith("cusp="), f"triples: {name!r} must start with cusp=NAME")
-        cusp_id = head[len("cusp="):]
-        _require(cusp_id in supports, f"triples: {name!r} references unknown support {cusp_id!r}")
         try:
-            triples[name] = parse_triple(text, supports[cusp_id], symbols)
+            triples[name] = _parse_triple_record(text, supports, symbols)
         except ValueError as exc:
             raise ConfigError(f"triples: {name!r}: {exc}") from exc
     return triples

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _HALF_RE = re.compile(r"^([+-]?\d+)/2$")
+_HALF_MOD_HASH_PRIME = (sys.hash_info.modulus + 1) // 2
 
 
 @functools.total_ordering
@@ -127,9 +129,10 @@ class HalfInt:
         return self.twice < other.twice
 
     def __hash__(self):
-        # agrees with hash(int) when the value is integral, so HalfInt(2)
-        # and 2 collide as dict keys exactly when they compare equal
-        return hash(self.twice / 2)
+        # Python's hash of the rational twice/2, in integers only (times the
+        # inverse of 2 modulo the hash prime), so it agrees with hash(int),
+        # hash(float) and hash(Fraction) at any size
+        return hash(self.twice * _HALF_MOD_HASH_PRIME)
 
     def __str__(self):
         if self.is_integer:

@@ -114,9 +114,8 @@ class ExpansionTable:
     Cuspidal leaves expand to exactly 1 (x) themselves; fixture entries
     may declare anything satisfying the unit-left rule.  The table also
     serves as the memo for ``expand_induced``: keys are structural, so
-    the same stack built the same way is computed once.  Entries are
-    written at most once per key and never mutated, so concurrent
-    readers racing a writer still see a consistent value.
+    the same stack built the same way is computed once.  Each key is
+    registered at most once; a second ``register`` raises.
     """
 
     def __init__(self):

@@ -23,14 +23,17 @@ values.  A triple is of alternated type when every pair carries -1 and,
 for every symbol carrying blocks here or in the cuspidal support, the
 block set matches the cuspidal target set in size (the increasing
 bijection is then the sorted matching).  Admissible means: some chain
-of subordination steps ends in an alternated triple.
+of subordination steps ends in an alternated triple.  Subordination at
+one symbol leaves the other symbols' data alone and alternation is a
+condition per symbol, so the canonical peel, run symbol by symbol,
+decides admissibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CuspidalSymbol
+from .algebra import EVEN, CuspidalSymbol
 
 PLUS = 1
 MINUS = -1
@@ -316,6 +319,12 @@ def cuspidal_target(t: JordanTriple, rho) -> frozenset:
     return frozenset(target)
 
 
+def _universe(t: JordanTriple) -> list:
+    """The symbols carrying blocks in t or in its cuspidal support, by id."""
+    held = {sym for sym in t.cusp.symbols if t.cusp.jord_of(sym)}
+    return sorted(held.union(t.symbols), key=lambda s: s.id)
+
+
 def is_alternated(t: JordanTriple):
     """The witness matchings if t is of alternated type, else None.
 
@@ -328,13 +337,8 @@ def is_alternated(t: JordanTriple):
     for _, v in t.pairs:
         if v != MINUS:
             return None
-    universe = list(t.symbols)
-    for sym in t.cusp.symbols:
-        if t.cusp.jord_of(sym) and sym not in universe:
-            universe.append(sym)
-    universe.sort(key=lambda s: s.id)
     matchings = []
-    for rho in universe:
+    for rho in _universe(t):
         blocks = t.jord_of(rho)
         target = cuspidal_target(t, rho)
         if len(blocks) != len(target):
@@ -343,31 +347,36 @@ def is_alternated(t: JordanTriple):
     return AlternatedWitness(tuple(matchings))
 
 
-_ADMISSIBLE_MEMO = {}
+def _peel(t: JordanTriple, rho):
+    """The canonical peel of a valid triple at rho: remove the +1 pair
+    with maximal upper endpoint (even rho) or minimal (odd rho) until
+    none is left.  The reductions made, or None when the surviving
+    blocks at rho do not match the cuspidal target in size."""
+    out = []
+    cur = t
+    while plus := [(lo, hi) for lo, hi in cur.adjacent_pairs(rho) if cur.pair(rho, lo, hi) == PLUS]:
+        lo, hi = plus[-1] if rho.parity == EVEN else plus[0]
+        out.append(Reduction(rho, lo, hi, reduce_at(cur, rho, lo, hi)))
+        cur = out[-1].result
+    if len(cur.jord_of(rho)) != len(cuspidal_target(cur, rho)):
+        return None
+    return out
 
 
 def is_admissible(t: JordanTriple):
-    """A chain of reductions from t to an alternated triple, or None.
-
-    Compare the result against None: an alternated triple is admissible
-    with the EMPTY chain, which is falsy.  Depth-first search over all
-    subordination steps, memoized on the canonical triple, so repeated
-    queries across an enumeration share work.
+    """The canonical chain of reductions from t to an alternated triple,
+    or None: the canonical peel at each symbol carrying blocks in t or
+    in the support, in id order.  Compare the result against None: an
+    alternated triple is admissible with the EMPTY chain, which is falsy.
     """
     t.require_valid()
-    if t in _ADMISSIBLE_MEMO:
-        return _ADMISSIBLE_MEMO[t]
-    if is_alternated(t) is not None:
-        _ADMISSIBLE_MEMO[t] = ()
-        return ()
-    found = None
-    for red in subordinate_reductions(t):
-        rest = is_admissible(red.result)
-        if rest is not None:
-            found = (red,) + rest
-            break
-    _ADMISSIBLE_MEMO[t] = found
-    return found
+    chain = []
+    for rho in _universe(t):
+        peeled = _peel(chain[-1].result if chain else t, rho)
+        if peeled is None:
+            return None
+        chain.extend(peeled)
+    return tuple(chain)
 
 
 def dominates(t: JordanTriple, other: JordanTriple):
@@ -415,6 +424,10 @@ def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
 
 
 def _extend(t, rho, lower, upper, sign):
+    """Insert (lower, upper) at rho with value +1 and linking bit sign.
+    Of the preconditions of ``dominating_extensions`` it checks the gap."""
+    if any(lower <= x <= upper for x in t.jord_of(rho)):
+        raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
     jord = t.jord + ((rho, lower), (rho, upper))
     singles = dict(t.singles)
     pairs = dict(t.pairs)
@@ -449,7 +462,6 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     lie in [lower, upper].  The two results differ exactly in the free
     linking bit; they are returned with the +1 bit first.
     """
-    t.require_valid()
     if is_admissible(t) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if not isinstance(lower, int) or not isinstance(upper, int) or lower >= upper:
@@ -459,8 +471,6 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     for a in (lower, upper):
         if not rho.matches_parity(a):
             raise ValueError(f"block {a} has the wrong parity for {rho.id}")
-    if any(lower <= x <= upper for x in t.jord_of(rho)):
-        raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
     return [_extend(t, rho, lower, upper, PLUS),
             _extend(t, rho, lower, upper, MINUS)]
 
@@ -525,3 +535,14 @@ def parse_triple(text: str, cusp: CuspidalSupport, symbols) -> JordanTriple:
         name, lo, hi, s = item.split(":")
         pairs[(sym(name), int(lo), int(hi))] = _parse_sign(s)
     return JordanTriple(cusp, jord, singles, pairs)
+
+
+def _parse_triple_record(text: str, supports, symbols) -> JordanTriple:
+    """Parse a triple record over the support its cusp= head names."""
+    head = text.split(";", 1)[0].strip()
+    if not head.startswith("cusp="):
+        raise ValueError("a triple record starts with cusp=NAME")
+    name = head[len("cusp="):]
+    if name not in supports:
+        raise ValueError(f"unknown support {name!r}")
+    return parse_triple(text, supports[name], symbols)

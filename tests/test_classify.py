@@ -115,6 +115,8 @@ def test_chain_violations_flag_bad_steps():
     assert any("sign" in p for p in probs)
     probs = chain_violations(ReductionChain(base, (ChainStep(r, 2, 4, PLUS),)))
     assert any("parity" in p for p in probs)
+    probs = chain_violations(ReductionChain(base, (ChainStep(r, 1.0, 3, PLUS),)))
+    assert any("integers" in p for p in probs)
 
 
 def test_chain_ordering_invariants():

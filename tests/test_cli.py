@@ -2,7 +2,7 @@
 
 Every fixture command is pinned to a golden file; the suite also checks
 exit codes, byte determinism across repeated runs, and the enumeration
-cache (cold write, warm replay, unwritable directory).
+cache (cold write, warm replay, unwritable directory, failed write).
 """
 
 import subprocess
@@ -95,6 +95,8 @@ def test_triple_text_source_matches_named_source():
     (["jord-update", "--config", BASE, "--x", "huh", "--y", "0"],
      "not a half-integer literal"),
     (["enumerate", "--config", MU_FIXTURE], "bounds section"),
+    (["check", "--config", BASE, "--text", "cusp=nope ; jord= ; single= ; pair="],
+     "unknown support"),
 ])
 def test_usage_errors_exit_2(argv, fragment):
     code, out, err = run_cli(argv)
@@ -178,6 +180,23 @@ def test_unwritable_cache_dir_only_warns(monkeypatch):
     assert code == 0
     assert out == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
     assert "cache write failed" in err
+
+
+def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    # the write dies halfway through: nothing may later replay the half
+    write_text = Path.write_text
+
+    def write_half(self, data, *args, **kwargs):
+        write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(Path, "write_text", write_half)
+    code, out, err = run_cli(["enumerate", "--config", BASE])
+    assert code == 0
+    assert out == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
+    assert "cache write failed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_cache_dir_means_no_cache_io(tmp_path, monkeypatch):

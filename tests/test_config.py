@@ -81,6 +81,16 @@ def test_triples_parse_but_are_not_semantically_checked(tmp_path):
     assert cfg.triples["odd"].jord_of(cfg.symbols["r"]) == (1,)
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("jord= ; single= ; pair=", "starts with cusp="),
+    ("cusp=nope ; jord= ; single= ; pair=", "unknown support"),
+])
+def test_triples_name_a_known_support(tmp_path, text, fragment):
+    data = dict(MINIMAL, triples={"t": text})
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(write(tmp_path, data))
+
+
 def test_expansion_rows_must_target_stacked_objects(tmp_path):
     data = dict(MINIMAL, expansions=[{
         "object": {"segments": [], "base": "c0"},

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +82,21 @@ def test_hash_agrees_with_numbers():
     assert hash(HalfInt.from_twice(5)) == hash(2.5)
     assert HalfInt(2) == 2
     assert {HalfInt(2): "a"}[2] == "a"
+
+
+@given(st.integers())
+def test_hash_agrees_with_numbers_at_every_size(n):
+    # an unbounded int: a float detour loses precision past 2**53 and
+    # overflows past about 10**308
+    assert hash(HalfInt(n)) == hash(n)
+    assert {HalfInt(n): "a"}[n] == "a"
+    assert hash(HalfInt.from_twice(n)) == hash(Fraction(n, 2))
+
+
+def test_hash_of_huge_values():
+    assert hash(HalfInt(2**60 + 1)) == hash(2**60 + 1)
+    assert hash(HalfInt(10**400)) == hash(10**400)
+    assert hash(HalfInt.from_twice(-(10**400) - 1)) == hash(Fraction(-(10**400) - 1, 2))
 
 
 @given(twices, twices)

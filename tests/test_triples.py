@@ -11,6 +11,7 @@ from segtriples import (
     InvalidTripleError,
     JordanTriple,
     NotAdmissibleError,
+    canonical_chain,
     dominates,
     dominating_extensions,
     is_admissible,
@@ -241,9 +242,20 @@ def test_blocked_triple_is_not_admissible():
     assert is_admissible(t) is None
 
 
-def test_admissibility_is_memoized():
-    t = odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS})
-    assert is_admissible(t) is is_admissible(t)
+def test_admissibility_returns_the_canonical_chain():
+    # q sorts before r, so q is peeled first; at the odd symbol r the
+    # +1 pair with the minimal upper endpoint goes first
+    t = make_triple(C0, [(q, 2), (q, 4)] + [(r, a) for a in (1, 3, 5, 7)],
+                    {(q, 2): PLUS, (q, 4): PLUS,
+                     (r, 1): PLUS, (r, 3): PLUS, (r, 5): MINUS, (r, 7): MINUS})
+    reductions = is_admissible(t)
+    chain = canonical_chain(t)
+    assert [(red.rho, red.lower, red.upper) for red in reductions] == [
+        (q, 2, 4), (r, 1, 3), (r, 5, 7)]
+    assert [(s.rho, s.lower, s.upper) for s in reversed(chain.steps)] == [
+        (red.rho, red.lower, red.upper) for red in reductions]
+    assert reductions[-1].result == chain.base == JordanTriple(C0)
+    assert is_admissible(t) == reductions
 
 
 def test_dominates_examples():
