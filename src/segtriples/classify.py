@@ -25,10 +25,10 @@ from .triples import (
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
+    _alternation,
     _extend,
     _peel,
     is_admissible,
-    is_alternated,
     linking_sign,
     make_triple,
     parse_triple,
@@ -76,7 +76,7 @@ def chain_violations(chain: ReductionChain) -> list:
     base_problems = validate_triple(chain.base)
     if base_problems:
         problems.extend(f"base: {p}" for p in base_problems)
-    elif is_alternated(chain.base) is None:
+    elif _alternation(chain.base) is None:
         problems.append("base triple is not of alternated type")
     for i, step in enumerate(chain.steps):
         tag = f"step {i}"
@@ -219,9 +219,10 @@ def dominance_edges(triples) -> list:
     """One-step subordination edges inside the given node set.
 
     Returns sorted (parent_text, child_text) pairs; the caller decides
-    whether the node set is closed under reduction.
+    whether the node set is closed under reduction.  A mapping from each
+    triple to its canonical text saves rendering the texts again.
     """
-    texts = {t: triple_text(t) for t in triples}
+    texts = triples if isinstance(triples, dict) else {t: triple_text(t) for t in triples}
     edges = set()
     for t in triples:
         for red in subordinate_reductions(t):

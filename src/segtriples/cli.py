@@ -5,21 +5,12 @@ Every subcommand takes --config pointing at a JSON run configuration
 diffed across runs.  Exit status: 0 on success, 1 on a domain error
 (invalid triple, inadmissible input, precondition failure), 2 on a
 usage or config error (bad flags, unknown names, malformed specs).
-
-The enumerate and dominance-dag subcommands honor SEGTRIPLES_CACHE_DIR:
-enumeration results are stored there under <digest>.triples, keyed by a
-hash of the whole canonicalized config, and a warm run replays the
-cached bytes without recomputing.  An entry is written beside its final
-name and renamed into place, so a killed run never leaves a truncated
-entry to replay.  An unwritable cache directory only warns on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
 from .algebra import EVEN, ODD, CuspidalSymbol, render_term
 from .classify import (
@@ -28,14 +19,13 @@ from .classify import (
     dominance_edges,
     enumerate_admissible,
 )
-from .config import ConfigError, RunConfig, config_digest, load_config, parse_segment_spec
+from .config import ConfigError, RunConfig, load_config, parse_segment_spec
 from .halfint import HalfInt
 from .lcalc import EmbeddingDatum, jord_update
 from .structural import GSpinTerm, expand_induced, induce
 from .triples import (
     NotAdmissibleError,
     _parse_triple_record,
-    parse_triple,
     subordinate_reductions,
     triple_text,
     validate_triple,
@@ -96,47 +86,18 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _enumeration_inputs(cfg: RunConfig):
+def _enumerate(cfg: RunConfig) -> list:
     if cfg.bounds is None:
         raise ConfigError("this command needs a bounds section in the config")
-    cusp = cfg.supports[cfg.bounds["support"]]
-    symbols = [cfg.symbols[n] for n in cfg.bounds["symbols"]]
-    return cusp, symbols
-
-
-def _enumeration_texts(cfg: RunConfig) -> list:
-    if cfg.bounds is None:
-        raise ConfigError("this command needs a bounds section in the config")
-    digest = config_digest(cfg)
-    cache_dir = os.environ.get("SEGTRIPLES_CACHE_DIR")
-    cache_path = Path(cache_dir) / f"{digest}.triples" if cache_dir else None
-    if cache_path is not None and cache_path.exists():
-        try:
-            return cache_path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            print(f"warning: cache read failed: {exc}", file=sys.stderr)
-    cusp, symbols = _enumeration_inputs(cfg)
-    found = enumerate_admissible(cusp, symbols, cfg.bounds["max_a"],
-                                 cfg.bounds["max_jord"], cfg.bounds["jord_sets"])
-    texts = [triple_text(t) for t in found]
-    if cache_path is not None:
-        partial = cache_path.with_name(f"{cache_path.name}.{os.getpid()}")
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            partial.write_text("".join(line + "\n" for line in texts), encoding="utf-8")
-            os.replace(partial, cache_path)
-        except OSError as exc:
-            print(f"warning: cache write failed: {exc}", file=sys.stderr)
-            try:
-                partial.unlink()
-            except OSError:
-                pass
-    return texts
+    return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
+                                [cfg.symbols[n] for n in cfg.bounds["symbols"]],
+                                cfg.bounds["max_a"], cfg.bounds["max_jord"],
+                                cfg.bounds["jord_sets"])
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> int:
-    for line in _enumeration_texts(cfg):
-        print(line)
+    for t in _enumerate(cfg):
+        print(triple_text(t))
     return 0
 
 
@@ -159,14 +120,14 @@ def _cmd_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_reduce(cfg: RunConfig, args) -> int:
-    t = _resolve_triple(cfg, args).require_valid()
+    t = _resolve_triple(cfg, args)
     for red in subordinate_reductions(t):
         print(f"{red.rho.id}:{red.lower}:{red.upper} -> {triple_text(red.result)}")
     return 0
 
 
 def _cmd_chain(cfg: RunConfig, args) -> int:
-    t = _resolve_triple(cfg, args).require_valid()
+    t = _resolve_triple(cfg, args)
     print(chain_text(canonical_chain(t)))
     return 0
 
@@ -188,13 +149,11 @@ def _cmd_jord_update(cfg: RunConfig, args) -> int:
 
 
 def _cmd_dominance_dag(cfg: RunConfig, args) -> int:
-    texts = _enumeration_texts(cfg)
-    cusp, _ = _enumeration_inputs(cfg)
-    triples = [parse_triple(text, cusp, cfg.symbols) for text in texts]
+    texts = {t: triple_text(t) for t in _enumerate(cfg)}
     print("digraph dominance {")
-    for text in texts:
+    for text in texts.values():
         print(f'  "{text}";')
-    for parent, child in dominance_edges(triples):
+    for parent, child in dominance_edges(texts):
         print(f'  "{parent}" -> "{child}";')
     print("}")
     return 0

@@ -21,15 +21,14 @@ here, so the check command can report semantic violations itself.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from pathlib import Path
 
-from .algebra import EVEN, ODD, CuspidalSymbol, FormalSum, GLTerm, Segment, render_term
+from .algebra import EVEN, ODD, CuspidalSymbol, FormalSum, GLTerm, Segment
 from .halfint import HalfInt
 from .structural import ExpansionTable, GSpinTerm, induce
-from .triples import CuspidalSupport, _parse_triple_record, triple_text
+from .triples import CuspidalSupport, _parse_triple_record
 
 _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
 _SEG_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.-]*):\[([^,\[\]]+),([^,\[\]]+)\]$")
@@ -257,30 +256,3 @@ def load_config(path) -> RunConfig:
     expansions = _load_expansions(raw.get("expansions"), symbols, supports)
     return RunConfig(symbols, supports, bounds, triples, expansions)
 
-
-def config_digest(cfg: RunConfig) -> str:
-    """Stable digest of the whole canonicalized configuration.
-
-    Keys the enumeration cache: any semantic change to the config moves
-    the cache entry, while formatting and ordering of the JSON file do
-    not.
-    """
-    payload = {
-        "symbols": [
-            {"id": s.id, "rank": s.rank, "parity": s.parity}
-            for s in sorted(cfg.symbols.values(), key=lambda s: s.id)
-        ],
-        "supports": [
-            {"id": sup.id,
-             "jord": {sym.id: sorted(sup.jord_of(sym)) for sym in sup.symbols}}
-            for sup in sorted(cfg.supports.values(), key=lambda s: s.id)
-        ],
-        "bounds": cfg.bounds,
-        "triples": {name: triple_text(t) for name, t in sorted(cfg.triples.items())},
-        "expansions": sorted(
-            [str(node), sorted(render_term(term, coeff) for term, coeff in rows.terms)]
-            for node, rows in cfg.expansions.items()
-        ),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -333,7 +333,11 @@ def is_alternated(t: JordanTriple):
     block set to match the cuspidal target, so a nonempty target there
     rules the witness out.
     """
-    t.require_valid()
+    return _alternation(t.require_valid())
+
+
+def _alternation(t: JordanTriple):
+    """``is_alternated`` for a triple already known to be valid."""
     for _, v in t.pairs:
         if v != MINUS:
             return None
@@ -380,20 +384,29 @@ def is_admissible(t: JordanTriple):
 
 
 def dominates(t: JordanTriple, other: JordanTriple):
-    """A chain of reductions carrying t onto other, or None."""
+    """A chain of reductions carrying t onto other, or None: the first
+    one a depth-first search over reductions in canonical witness order
+    meets.  Triples already seen not to reach other are not searched
+    again, so each reachable triple is expanded at most once."""
     t.require_valid()
     other.require_valid()
     if t.cusp != other.cusp:
         raise ValueError("dominance only compares triples over one support")
-    if t == other:
-        return ()
-    if t.size <= other.size:
+    dead = set()
+
+    def search(cur):
+        if cur == other:
+            return ()
+        if cur.size <= other.size or cur in dead:
+            return None
+        for red in subordinate_reductions(cur):
+            rest = search(red.result)
+            if rest is not None:
+                return (red,) + rest
+        dead.add(cur)
         return None
-    for red in subordinate_reductions(t):
-        rest = dominates(red.result, other)
-        if rest is not None:
-            return (red,) + rest
-    return None
+
+    return search(t)
 
 
 # -- extensions ----------------------------------------------------------

@@ -1,5 +1,7 @@
 import pytest
 
+import segtriples.classify
+import segtriples.triples
 from segtriples import (
     EVEN,
     MINUS,
@@ -137,6 +139,25 @@ def test_realize_validates_first():
     bad = ReductionChain(JordanTriple(C0), (ChainStep(r, 3, 1, PLUS),))
     with pytest.raises(InvalidChainError):
         realize_chain(bad)
+
+
+def test_round_trip_validates_once_per_boundary(monkeypatch):
+    # canonical_chain validates the triple, realize_chain the chain's base
+    calls = []
+    validate = segtriples.triples.validate_triple
+
+    def counted(t):
+        calls.append(t)
+        return validate(t)
+
+    monkeypatch.setattr(segtriples.triples, "validate_triple", counted)
+    monkeypatch.setattr(segtriples.classify, "validate_triple", counted)
+    t = odd_triple(C17, [1, 3, 5, 7, 9, 11],
+                   pairs={(1, 3): MINUS, (3, 5): PLUS, (5, 7): MINUS,
+                          (7, 9): PLUS, (9, 11): MINUS})
+    chain = canonical_chain(t)
+    assert chain.steps and realize_chain(chain) == t
+    assert calls == [t, chain.base]
 
 
 def test_condition3_replay_on_a_sample_chain():

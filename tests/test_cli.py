@@ -1,17 +1,17 @@
 """End-to-end tests of the command line front end.
 
 Every fixture command is pinned to a golden file; the suite also checks
-exit codes, byte determinism across repeated runs, and the enumeration
-cache (cold write, warm replay, unwritable directory, failed write).
+exit codes and byte determinism across repeated runs.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from segtriples.config import config_digest, load_config
+import segtriples
 
 from helpers import run_cli
 
@@ -115,6 +115,7 @@ def test_usage_errors_exit_2(argv, fragment):
      "must be nonnegative"),
     (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--base", "5"],
      "missing from the base"),
+    (["reduce", "--config", BASE, "--triple", "bad"], "missing single"),
 ])
 def test_domain_errors_exit_1(argv, fragment):
     code, out, err = run_cli(argv)
@@ -142,73 +143,24 @@ def test_jord_update_explicit_symbol_and_inferred_parity():
     assert inferred == (0, "{4}\n", "")
 
 
-# -- enumeration cache -------------------------------------------------------
-
-
-def test_cold_then_warm_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
-    cold = run_cli(["enumerate", "--config", BASE])
-    digest = config_digest(load_config(BASE))
-    cache_file = tmp_path / f"{digest}.triples"
-    assert cache_file.exists()
-    warm = run_cli(["enumerate", "--config", BASE])
-    assert cold == warm
-    assert cold[0] == 0
-    assert cold[1] == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
-
-
-def test_warm_run_replays_cached_bytes(tmp_path, monkeypatch):
-    # prove the warm path reads the file instead of recomputing
-    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
-    run_cli(["enumerate", "--config", BASE])
-    digest = config_digest(load_config(BASE))
-    (tmp_path / f"{digest}.triples").write_text("sentinel\n", encoding="utf-8")
-    code, out, err = run_cli(["enumerate", "--config", BASE])
-    assert (code, out) == (0, "sentinel\n")
-
-
-def test_distinct_configs_use_distinct_cache_keys(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
-    run_cli(["enumerate", "--config", BASE])
-    run_cli(["enumerate", "--config", ENUM_C1])
-    assert len(list(tmp_path.glob("*.triples"))) == 2
-
-
-def test_unwritable_cache_dir_only_warns(monkeypatch):
-    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", "/proc/definitely/nope")
-    code, out, err = run_cli(["enumerate", "--config", BASE])
-    assert code == 0
-    assert out == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
-    assert "cache write failed" in err
-
-
-def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
-    # the write dies halfway through: nothing may later replay the half
-    write_text = Path.write_text
-
-    def write_half(self, data, *args, **kwargs):
-        write_text(self, data[:len(data) // 2], *args, **kwargs)
-        raise OSError("disk full")
-
-    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(Path, "write_text", write_half)
-    code, out, err = run_cli(["enumerate", "--config", BASE])
-    assert code == 0
-    assert out == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
-    assert "cache write failed" in err
-    assert list(tmp_path.iterdir()) == []
+# -- enumeration is computed, never stored ------------------------------------
 
 
 def test_no_cache_dir_means_no_cache_io(tmp_path, monkeypatch):
-    monkeypatch.delenv("SEGTRIPLES_CACHE_DIR", raising=False)
-    code, out, err = run_cli(["enumerate", "--config", BASE])
-    assert code == 0 and err == ""
+    # there is no cache: SEGTRIPLES_CACHE_DIR is ignored and every run recomputes
+    monkeypatch.setenv("SEGTRIPLES_CACHE_DIR", str(tmp_path))
+    for name, argv in [("enumerate_base.txt", ["enumerate", "--config", BASE]),
+                       ("dag_even.txt", ["dominance-dag", "--config", DAG_EVEN])]:
+        golden = (GOLDEN / name).read_text(encoding="utf-8")
+        for _ in range(2):
+            assert run_cli(argv) == (0, golden, "")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point_runs_as_subprocess():
+    src = str(Path(segtriples.__file__).parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "segtriples", "enumerate", "--config", BASE],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")

@@ -5,7 +5,6 @@ import pytest
 from segtriples import CuspidalSymbol, HalfInt, ODD
 from segtriples.config import (
     ConfigError,
-    config_digest,
     load_config,
     parse_segment_spec,
 )
@@ -109,19 +108,3 @@ def test_expansion_rows_reject_bad_coefficients(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, data))
 
-
-def test_digest_is_stable_under_key_order(tmp_path):
-    a = load_config(write(tmp_path, MINIMAL, "a.json"))
-    flipped = {"supports": MINIMAL["supports"], "symbols": MINIMAL["symbols"]}
-    b = load_config(write(tmp_path, flipped, "b.json"))
-    assert config_digest(a) == config_digest(b)
-
-
-def test_digest_tracks_content(tmp_path):
-    a = load_config(write(tmp_path, MINIMAL, "a.json"))
-    data = dict(MINIMAL, bounds={"support": "c0", "symbols": ["r"], "max_a": 3})
-    b = load_config(write(tmp_path, data, "b.json"))
-    assert config_digest(a) != config_digest(b)
-    data2 = dict(MINIMAL, bounds={"support": "c0", "symbols": ["r"], "max_a": 5})
-    c = load_config(write(tmp_path, data2, "c.json"))
-    assert config_digest(b) != config_digest(c)

@@ -267,6 +267,16 @@ def test_dominates_examples():
     assert dominates(bottom, t) is None
     with pytest.raises(ValueError, match="support"):
         dominates(t, JordanTriple(C1))
+    # a target two steps down, off the first branch the search tries
+    top = odd_triple(C0, [1, 3, 5, 7, 9], {a: PLUS for a in (1, 3, 5, 7, 9)})
+    target = reduce_at(reduce_at(top, r, 5, 7), r, 3, 9)
+    chain = dominates(top, target)
+    assert [(red.lower, red.upper) for red in chain] == [(3, 5), (7, 9)]
+    cur = top
+    for red in chain:
+        cur = reduce_at(cur, red.rho, red.lower, red.upper)
+        assert cur == red.result
+    assert cur == target
 
 
 # -- extensions -----------------------------------------------------------------
