@@ -1,7 +1,9 @@
 """From a Jordan triple to its reduction chain and back.
 
-A triple holds Jordan blocks per symbol, a sign on every single block
-(when defined) and a sign on every adjacent pair.  Admissible triples
+A triple holds Jordan blocks per symbol and their signs: a sign on
+every single block where singles are defined, which fixes the sign of
+each adjacent pair by the product rule, and otherwise a sign on every
+adjacent pair.  Admissible triples
 reduce step by step to an alternated one; the canonical chain records
 the steps, and realizing the chain rebuilds the triple exactly.
 

@@ -27,10 +27,11 @@ from .triples import (
     NotAdmissibleError,
     _alternation,
     _extend,
+    _parse_sign,
     _peel,
+    _sign_char,
     is_admissible,
     linking_sign,
-    make_triple,
     parse_triple,
     singles_defined,
     subordinate_reductions,
@@ -85,7 +86,7 @@ def chain_violations(chain: ReductionChain) -> list:
             continue
         if step.sign not in (PLUS, MINUS):
             problems.append(f"{tag}: sign {step.sign} is not +1/-1")
-        if not (isinstance(step.lower, int) and isinstance(step.upper, int)
+        if not (all(isinstance(a, int) and not isinstance(a, bool) for a in (step.lower, step.upper))
                 and 1 <= step.lower < step.upper):
             problems.append(f"{tag}: need integers 1 <= lower < upper")
         for a in (step.lower, step.upper):
@@ -144,15 +145,14 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 
 def _sign_assignments(cusp, rho, blocks):
-    """Every triple over cusp carrying exactly these blocks, all at rho."""
-    jord = [(rho, a) for a in blocks]
-    if singles_defined(cusp, rho):
-        for bits in itertools.product((PLUS, MINUS), repeat=len(jord)):
-            yield make_triple(cusp, jord, dict(zip(jord, bits)))
-    else:
-        adjacent = [(rho, lo, hi) for lo, hi in zip(blocks, blocks[1:])]
-        for bits in itertools.product((PLUS, MINUS), repeat=len(adjacent)):
-            yield JordanTriple(cusp, jord, pairs=dict(zip(adjacent, bits)))
+    """Every triple over cusp carrying exactly these sorted blocks, all
+    at rho: signs on the singles where defined, else on the pairs."""
+    derive = singles_defined(cusp, rho)
+    keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
+    for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
+        signs = dict(zip(keys, bits))
+        row = (blocks, signs, {}) if derive else (blocks, {}, signs)
+        yield JordanTriple._of_rows(cusp, {rho: row} if blocks else {})
 
 
 def _block_sets(rho, max_a, max_jord, explicit):
@@ -200,9 +200,7 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
         per_symbol.append(survivors)
     if any(cusp.jord_of(rho) and rho not in symbols for rho in cusp.symbols):
         return []
-    found = [JordanTriple(cusp, [e for t in combo for e in t.jord],
-                          dict(kv for t in combo for kv in t.singles),
-                          dict(kv for t in combo for kv in t.pairs))
+    found = [JordanTriple._of_rows(cusp, {rho: row for t in combo for rho, row in t.rows.items()})
              for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)
     return found
@@ -237,7 +235,7 @@ def dominance_edges(triples) -> list:
 def chain_text(chain: ReductionChain) -> str:
     """Canonical one-line serialization; parse_chain inverts it."""
     steps = " ".join(
-        f"{s.rho.id}:{s.lower}:{s.upper}:{'+' if s.sign == PLUS else '-'}"
+        f"{s.rho.id}:{s.lower}:{s.upper}:{_sign_char(s.sign)}"
         for s in chain.steps)
     tail = f"steps= {steps}" if steps else "steps="
     return f"base={{{triple_text(chain.base)}}} ; {tail}"
@@ -262,8 +260,5 @@ def parse_chain(text: str, cusp: CuspidalSupport, symbols) -> ReductionChain:
         name, lo, hi, sig = item.split(":")
         if name not in symbols:
             raise ValueError(f"unknown symbol {name!r}")
-        sign = PLUS if sig == "+" else MINUS if sig == "-" else None
-        if sign is None:
-            raise ValueError(f"not a sign: {sig!r}")
-        steps.append(ChainStep(symbols[name], int(lo), int(hi), sign))
+        steps.append(ChainStep(symbols[name], int(lo), int(hi), _parse_sign(sig)))
     return ReductionChain(base, tuple(steps))

@@ -145,8 +145,7 @@ class ExpansionTable:
         return obj in self._rows
 
 
-def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable,
-                   memoize: bool = True) -> FormalSum:
+def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> FormalSum:
     """Expansion of the object obtained by inducing ``seg`` over ``base``.
 
     Write the segment as [nu^(-k) rho, nu^l rho].  For every pair
@@ -158,12 +157,13 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable,
 
     where segments of span -1 evaporate (they are units).  Degrees are
     conserved term by term, and the unique unit-left term is
-    1 (x) (seg |x base) with coefficient one.
+    1 (x) (seg |x base) with coefficient one.  The expansion is
+    registered in ``table``, and a node already there is looked up.
     """
     if seg.is_empty:
         raise ValueError("induction by the empty segment expands nothing new")
     node = induce(seg, base)
-    if memoize and node in table:
+    if node in table:
         return table.lookup(node)
     base_rows = table.lookup(base)
     rho = seg.rho
@@ -180,8 +180,7 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable,
                 key = (gl, induce(kept, sprime))
                 out[key] = out.get(key, 0) + c
     result = FormalSum(out)
-    if memoize:
-        table.register(node, result)
+    table.register(node, result)
     return result
 
 

@@ -12,8 +12,9 @@ kinds of arguments:
   which rho induced to the base cuspidal reduces).
 
 Wherever singles exist they determine the adjacent pairs through the
-product rule eps(a_) * eps(a) = eps((a_, a)); the pair values are kept
-stored anyway, and validation enforces the compatibility.
+product rule eps(a_) * eps(a) = eps((a_, a)), so pair values are
+derived there and stored only at symbols without singles.  Each symbol
+keeps one row of data, and a step rewrites only its own symbol's row.
 
 A subordination step removes an adjacent pair carrying eps = +1 and
 rewires the signs: untouched pairs keep their values, the bridge pair
@@ -99,61 +100,70 @@ class CuspidalSupport:
 
 def singles_defined(cusp: CuspidalSupport, rho: CuspidalSymbol) -> bool:
     """Whether single-block signs exist at rho over this support."""
-    if rho.parity == "even":
-        return True
-    return not cusp.jord_of(rho)
+    return rho.parity == EVEN or not cusp.jord_of(rho)
 
 
 class JordanTriple:
-    """An immutable triple (blocks, support, signs).
+    """An immutable triple (blocks, support, signs), one row per symbol.
 
-    The constructor canonicalizes but does not validate; use
-    ``validate_triple`` for diagnostics and ``require_valid`` as a
-    gate.  ``make_triple`` fills in pair signs from singles when they
-    are determined by the product rule.
+    ``rows`` maps each symbol with data, in id order, to ``(blocks,
+    singles, pairs)``: the sorted blocks, the single signs by block and
+    the pair signs by (lower, upper); rows are shared, never mutated.
+    Where singles are defined, pair signs are derived by the product
+    rule (``pair``, ``pairs``) and not stored; a pair given there is
+    kept only for ``validate_triple`` to report.  The constructor
+    rejects non-integer blocks and signs and canonicalizes, but does
+    not validate; ``require_valid`` is the gate.
     """
 
-    __slots__ = ("cusp", "jord", "singles", "pairs")
+    __slots__ = ("cusp", "rows")
 
     def __init__(self, cusp: CuspidalSupport, jord=(), singles=None, pairs=None):
         if not isinstance(cusp, CuspidalSupport):
             raise TypeError("cusp must be a CuspidalSupport")
-        entries = {(rho, int(a)) for rho, a in jord}
+        given = {}
+        for rho, a in jord:
+            given.setdefault(rho, (set(), {}, {}))[0].add(_integer(a, "block"))
+        for (rho, a), v in (singles or {}).items():
+            given.setdefault(rho, (set(), {}, {}))[1][_integer(a, "block")] = _integer(v, "sign")
+        for (rho, lo, hi), v in (pairs or {}).items():
+            key = (_integer(lo, "block"), _integer(hi, "block"))
+            given.setdefault(rho, (set(), {}, {}))[2][key] = _integer(v, "sign")
         self.cusp = cusp
-        self.jord = tuple(sorted(entries, key=lambda e: (e[0].id, e[1])))
-        singles = dict(singles or {})
-        pairs = dict(pairs or {})
-        self.singles = tuple(sorted(
-            (((rho, int(a)), int(v)) for (rho, a), v in singles.items()),
-            key=lambda kv: (kv[0][0].id, kv[0][1])))
-        self.pairs = tuple(sorted(
-            (((rho, int(lo), int(hi)), int(v)) for (rho, lo, hi), v in pairs.items()),
-            key=lambda kv: (kv[0][0].id, kv[0][1], kv[0][2])))
+        self.rows = {}
+        for rho in sorted(given, key=lambda s: s.id):
+            blocks, signs, pairs = given[rho]
+            blocks = tuple(sorted(blocks))
+            derived = _pair_signs(cusp, rho, (blocks, signs, {}))
+            self.rows[rho] = (blocks, signs, {k: v for k, v in pairs.items() if derived.get(k) != v})
+
+    @classmethod
+    def _of_rows(cls, cusp, rows):
+        """A triple over rows already canonical; they are shared, not copied."""
+        t = object.__new__(cls)
+        t.cusp = cusp
+        t.rows = rows
+        return t
 
     # -- accessors ---------------------------------------------------
 
     def jord_of(self, rho) -> tuple:
-        return tuple(a for sym, a in self.jord if sym == rho)
+        return self.rows.get(rho, _EMPTY)[0]
 
     @property
     def symbols(self) -> tuple:
-        seen = []
-        for sym, _ in self.jord:
-            if sym not in seen:
-                seen.append(sym)
-        return tuple(seen)
+        return tuple(rho for rho, row in self.rows.items() if row[0])
 
     def single(self, rho, a):
-        for key, v in self.singles:
-            if key == (rho, a):
-                return v
-        return None
+        return self.rows.get(rho, _EMPTY)[1].get(a)
 
     def pair(self, rho, lo, hi):
-        for key, v in self.pairs:
-            if key == (rho, lo, hi):
-                return v
-        return None
+        return _pair_signs(self.cusp, rho, self.rows.get(rho, _EMPTY)).get((lo, hi))
+
+    @property
+    def pairs(self) -> tuple:
+        return tuple(((rho, lo, hi), v) for rho, row in self.rows.items()
+                     for (lo, hi), v in sorted(_pair_signs(self.cusp, rho, row).items()))
 
     def adjacent_pairs(self, rho):
         blocks = self.jord_of(rho)
@@ -161,11 +171,11 @@ class JordanTriple:
 
     @property
     def is_empty(self) -> bool:
-        return not self.jord
+        return not self.size
 
     @property
     def size(self) -> int:
-        return len(self.jord)
+        return sum(len(blocks) for blocks, _, _ in self.rows.values())
 
     def require_valid(self):
         problems = validate_triple(self)
@@ -176,11 +186,12 @@ class JordanTriple:
     def __eq__(self, other):
         if not isinstance(other, JordanTriple):
             return NotImplemented
-        return (self.cusp == other.cusp and self.jord == other.jord
-                and self.singles == other.singles and self.pairs == other.pairs)
+        return self.cusp == other.cusp and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.cusp, self.jord, self.singles, self.pairs))
+        return hash((self.cusp, tuple(
+            (rho, blocks, frozenset(singles.items()), frozenset(pairs.items()))
+            for rho, (blocks, singles, pairs) in self.rows.items())))
 
     def __str__(self):
         return triple_text(self)
@@ -189,59 +200,68 @@ class JordanTriple:
         return f"JordanTriple<{triple_text(self)}>"
 
 
-def make_triple(cusp, jord=(), singles=None, pairs=None) -> JordanTriple:
-    """Build a triple, deriving pair signs by the product rule wherever
-    singles are defined and no explicit pair value was given."""
-    singles = dict(singles or {})
-    pairs = dict(pairs or {})
-    t = JordanTriple(cusp, jord)
-    for rho in t.symbols:
-        if not singles_defined(cusp, rho):
-            continue
-        for lo, hi in t.adjacent_pairs(rho):
-            if (rho, lo, hi) not in pairs:
-                slo, shi = singles.get((rho, lo)), singles.get((rho, hi))
-                if slo is not None and shi is not None:
-                    pairs[(rho, lo, hi)] = slo * shi
-    return JordanTriple(cusp, jord, singles, pairs)
+make_triple = JordanTriple
+
+_EMPTY = ((), {}, {})
+
+
+def _integer(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _pair_signs(cusp, rho, row) -> dict:
+    """Every pair sign of the row at rho by (lower, upper): the stored
+    ones and, where singles are defined, the product rule on each
+    adjacent pair whose blocks carry singles.  Read only."""
+    blocks, singles, pairs = row
+    if not singles_defined(cusp, rho):
+        return pairs
+    derived = {(lo, hi): singles[lo] * singles[hi]
+               for lo, hi in zip(blocks, blocks[1:]) if lo in singles and hi in singles}
+    return {**derived, **pairs}
+
+
+def _replace_row(t: JordanTriple, rho, blocks, singles, pairs) -> JordanTriple:
+    """t with the row at rho replaced; the other rows are shared."""
+    rows = {**t.rows, rho: (blocks, singles, pairs)}
+    if not (blocks or singles or pairs):
+        del rows[rho]
+    elif rho not in t.rows:
+        rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
+    return JordanTriple._of_rows(t.cusp, rows)
 
 
 def validate_triple(t: JordanTriple) -> list:
-    """All invariant violations, as human-readable strings."""
-    problems = []
-    for rho, a in t.jord:
-        if a < 1:
-            problems.append(f"block {a} at {rho.id} is not positive")
-        elif not rho.matches_parity(a):
-            problems.append(f"block {a} has the wrong parity for {rho.id}")
-    single_keys = {key for key, _ in t.singles}
-    expected_singles = {(rho, a) for rho, a in t.jord if singles_defined(t.cusp, rho)}
-    for key in sorted(single_keys - expected_singles, key=lambda k: (k[0].id, k[1])):
-        problems.append(f"single sign on {key[0].id}:{key[1]} is not in the domain")
-    for key in sorted(expected_singles - single_keys, key=lambda k: (k[0].id, k[1])):
-        problems.append(f"missing single sign on {key[0].id}:{key[1]}")
-    pair_keys = {key for key, _ in t.pairs}
-    expected_pairs = set()
-    for rho in t.symbols:
-        for lo, hi in t.adjacent_pairs(rho):
-            expected_pairs.add((rho, lo, hi))
-    for key in sorted(pair_keys - expected_pairs, key=lambda k: (k[0].id, k[1], k[2])):
-        problems.append(f"pair sign on {key[0].id}:{key[1]}-{key[2]} is not adjacent")
-    for key in sorted(expected_pairs - pair_keys, key=lambda k: (k[0].id, k[1], k[2])):
-        problems.append(f"missing pair sign on {key[0].id}:{key[1]}-{key[2]}")
-    for key, v in t.singles:
-        if v not in (PLUS, MINUS):
-            problems.append(f"single sign {v} on {key[0].id}:{key[1]} is not +1/-1")
-    for key, v in t.pairs:
-        if v not in (PLUS, MINUS):
-            problems.append(f"pair sign {v} on {key[0].id}:{key[1]}-{key[2]} is not +1/-1")
-    # product-rule compatibility wherever both data exist
-    for (rho, lo, hi) in sorted(pair_keys & expected_pairs, key=lambda k: (k[0].id, k[1], k[2])):
-        slo, shi = t.single(rho, lo), t.single(rho, hi)
-        pv = t.pair(rho, lo, hi)
-        if slo is not None and shi is not None and pv is not None and pv != slo * shi:
-            problems.append(f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
-    return problems
+    """All invariant violations, as human-readable strings: grouped by
+    kind, each kind in symbol and block order."""
+    found = []
+    for rho, (blocks, singles, pairs) in t.rows.items():
+        derive = singles_defined(t.cusp, rho)
+        adjacent = tuple(zip(blocks, blocks[1:]))
+        signs = _pair_signs(t.cusp, rho, (blocks, singles, pairs))
+        # blocks are sorted, so the nonpositive ones come first
+        found += [(0, f"block {a} at {rho.id} is not positive") for a in blocks if a < 1]
+        found += [(0, f"block {a} has the wrong parity for {rho.id}")
+                  for a in blocks if a >= 1 and not rho.matches_parity(a)]
+        found += [(1, f"single sign on {rho.id}:{a} is not in the domain")
+                  for a in sorted(singles) if not derive or a not in blocks]
+        found += [(2, f"missing single sign on {rho.id}:{a}")
+                  for a in blocks if derive and a not in singles]
+        found += [(3, f"pair sign on {rho.id}:{lo}-{hi} is not adjacent")
+                  for lo, hi in sorted(pairs) if (lo, hi) not in adjacent]
+        found += [(4, f"missing pair sign on {rho.id}:{lo}-{hi}")
+                  for lo, hi in adjacent if (lo, hi) not in signs]
+        found += [(5, f"single sign {v} on {rho.id}:{a} is not +1/-1")
+                  for a, v in sorted(singles.items()) if v not in (PLUS, MINUS)]
+        found += [(6, f"pair sign {v} on {rho.id}:{lo}-{hi} is not +1/-1")
+                  for (lo, hi), v in sorted(signs.items()) if v not in (PLUS, MINUS)]
+        found += [(7, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
+                  for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
+                  and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
+    found.sort(key=lambda kv: kv[0])
+    return [message for _, message in found]
 
 
 # -- subordination -------------------------------------------------------
@@ -257,38 +277,29 @@ class Reduction:
 
 def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
     """Remove the adjacent pair (lower, upper) at rho and rewire signs."""
-    blocks = t.jord_of(rho)
+    blocks, singles, pairs = t.rows.get(rho, _EMPTY)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
     if t.pair(rho, lower, upper) != PLUS:
         raise ValueError("only pairs carrying +1 can be removed")
-    jord = [e for e in t.jord if e not in ((rho, lower), (rho, upper))]
-    singles = {key: v for key, v in t.singles if key[0] != rho}
-    pairs = {key: v for key, v in t.pairs if key[0] != rho}
-    kept = tuple(a for a in blocks if a not in (lower, upper))
-    if singles_defined(t.cusp, rho):
-        for a in kept:
-            singles[(rho, a)] = t.single(rho, a)
-        for lo, hi in zip(kept, kept[1:]):
-            pairs[(rho, lo, hi)] = singles[(rho, lo)] * singles[(rho, hi)]
-    else:
-        for lo, hi in zip(kept, kept[1:]):
-            old = t.pair(rho, lo, hi)
-            if old is not None:
-                pairs[(rho, lo, hi)] = old
-            else:
-                # the bridge between the removed pair's outer neighbours
-                pairs[(rho, lo, hi)] = t.pair(rho, lo, lower) * t.pair(rho, upper, hi)
-    return JordanTriple(t.cusp, jord, singles, pairs)
+    i = blocks.index(lower)
+    kept = blocks[:i] + blocks[i + 2:]
+    singles = {a: v for a, v in singles.items() if a != lower and a != upper}
+    rest = {k: v for k, v in pairs.items() if lower not in k and upper not in k}
+    if 0 < i < len(blocks) - 2 and not singles_defined(t.cusp, rho):
+        # the bridge between the removed pair's outer neighbours
+        pred, succ = blocks[i - 1], blocks[i + 2]
+        rest[(pred, succ)] = pairs[(pred, lower)] * pairs[(upper, succ)]
+    return _replace_row(t, rho, kept, singles, rest)
 
 
 def subordinate_reductions(t: JordanTriple) -> list:
     """Every one-step subordination of t, in canonical witness order."""
     t.require_valid()
     out = []
-    for rho in t.symbols:
-        for lo, hi in t.adjacent_pairs(rho):
-            if t.pair(rho, lo, hi) == PLUS:
+    for rho, row in t.rows.items():
+        for (lo, hi), v in sorted(_pair_signs(t.cusp, rho, row).items()):
+            if v == PLUS:
                 out.append(Reduction(rho, lo, hi, reduce_at(t, rho, lo, hi)))
     return out
 
@@ -338,9 +349,8 @@ def is_alternated(t: JordanTriple):
 
 def _alternation(t: JordanTriple):
     """``is_alternated`` for a triple already known to be valid."""
-    for _, v in t.pairs:
-        if v != MINUS:
-            return None
+    if any(v != MINUS for rho, row in t.rows.items() for v in _pair_signs(t.cusp, rho, row).values()):
+        return None
     matchings = []
     for rho in _universe(t):
         blocks = t.jord_of(rho)
@@ -358,7 +368,8 @@ def _peel(t: JordanTriple, rho):
     blocks at rho do not match the cuspidal target in size."""
     out = []
     cur = t
-    while plus := [(lo, hi) for lo, hi in cur.adjacent_pairs(rho) if cur.pair(rho, lo, hi) == PLUS]:
+    while plus := sorted(k for k, v in _pair_signs(t.cusp, rho, cur.rows.get(rho, _EMPTY)).items()
+                         if v == PLUS):
         lo, hi = plus[-1] if rho.parity == EVEN else plus[0]
         out.append(Reduction(rho, lo, hi, reduce_at(cur, rho, lo, hi)))
         cur = out[-1].result
@@ -439,32 +450,22 @@ def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
 def _extend(t, rho, lower, upper, sign):
     """Insert (lower, upper) at rho with value +1 and linking bit sign.
     Of the preconditions of ``dominating_extensions`` it checks the gap."""
-    if any(lower <= x <= upper for x in t.jord_of(rho)):
+    blocks, singles, pairs = t.rows.get(rho, _EMPTY)
+    if any(lower <= x <= upper for x in blocks):
         raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
-    jord = t.jord + ((rho, lower), (rho, upper))
-    singles = dict(t.singles)
-    pairs = dict(t.pairs)
-    pred, succ = _neighbours(t, rho, lower, upper)
+    grown = tuple(sorted(blocks + (lower, upper)))
     if singles_defined(t.cusp, rho):
-        singles[(rho, lower)] = sign
-        singles[(rho, upper)] = sign
-        grown = tuple(sorted(t.jord_of(rho) + (lower, upper)))
-        for key in [k for k in pairs if k[0] == rho]:
-            del pairs[key]
-        for lo, hi in zip(grown, grown[1:]):
-            pairs[(rho, lo, hi)] = singles[(rho, lo)] * singles[(rho, hi)]
-    else:
-        bridge = pairs.pop((rho, pred, succ)) if pred is not None and succ is not None else None
-        pairs[(rho, lower, upper)] = PLUS
-        if pred is not None:
-            pairs[(rho, pred, lower)] = sign
-            if succ is not None:
-                pairs[(rho, upper, succ)] = bridge * sign
-        elif succ is not None:
-            pairs[(rho, upper, succ)] = sign
-        else:
-            raise NotAdmissibleError("no sign data can link the inserted pair")
-    return JordanTriple(t.cusp, jord, singles, pairs)
+        return _replace_row(t, rho, grown, {**singles, lower: sign, upper: sign}, pairs)
+    pred, succ = _neighbours(t, rho, lower, upper)
+    if pred is None and succ is None:
+        raise NotAdmissibleError("no sign data can link the inserted pair")
+    pairs = {**pairs, (lower, upper): PLUS}
+    if pred is not None:
+        pairs[(pred, lower)] = sign
+    if succ is not None:
+        # the bridge across the gap splits into the two crossing pairs
+        pairs[(upper, succ)] = sign if pred is None else pairs.pop((pred, succ)) * sign
+    return _replace_row(t, rho, grown, singles, pairs)
 
 
 def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
@@ -477,7 +478,7 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     """
     if is_admissible(t) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
-    if not isinstance(lower, int) or not isinstance(upper, int) or lower >= upper:
+    if _integer(lower, "block") >= _integer(upper, "block"):
         raise ValueError("need integer blocks with lower < upper")
     if lower < 1:
         raise ValueError("blocks are positive integers")
@@ -500,8 +501,10 @@ def triple_text(t: JordanTriple) -> str:
     def section(tag, body):
         return f"{tag}= {body}" if body else f"{tag}="
 
-    jord = " ".join(f"{rho.id}:{a}" for rho, a in t.jord)
-    singles = " ".join(f"{rho.id}:{a}:{_sign_char(v)}" for (rho, a), v in t.singles)
+    rows = t.rows.items()
+    jord = " ".join(f"{rho.id}:{a}" for rho, (blocks, _, _) in rows for a in blocks)
+    singles = " ".join(f"{rho.id}:{a}:{_sign_char(v)}" for rho, (_, signs, _) in rows
+                       for a, v in sorted(signs.items()))
     pairs = " ".join(f"{rho.id}:{lo}:{hi}:{_sign_char(v)}" for (rho, lo, hi), v in t.pairs)
     return " ; ".join([f"cusp={t.cusp.id}", section("jord", jord),
                        section("single", singles), section("pair", pairs)])

@@ -121,6 +121,12 @@ def test_chain_violations_flag_bad_steps():
     assert any("integers" in p for p in probs)
 
 
+def test_chain_violations_reject_bool_endpoints():
+    # realize_chain inserts endpoints as given, so True would print as a block
+    probs = chain_violations(ReductionChain(JordanTriple(C0), (ChainStep(r, True, 3, PLUS),)))
+    assert any("integers" in p for p in probs)
+
+
 def test_chain_ordering_invariants():
     base = JordanTriple(C0)
     # odd symbols: upper endpoints must strictly decrease base-up

@@ -72,11 +72,19 @@ def test_repeated_runs_are_byte_identical(argv):
     assert first[0] == 0
 
 
-def test_triple_text_source_matches_named_source():
-    text = "cusp=c0 ; jord= r:1 r:3 r:5 r:7 ; single= r:1:+ r:3:+ r:5:- r:7:- ; pair= r:1:3:+ r:3:5:- r:5:7:+"
-    named = run_cli(["chain", "--config", BASE, "--triple", "demo"])
-    literal = run_cli(["chain", "--config", BASE, "--text", text])
+@pytest.mark.parametrize("command,name,text,head", [
+    ("chain", "demo",
+     "cusp=c0 ; jord= r:1 r:3 r:5 r:7 ; single= r:1:+ r:3:+ r:5:- r:7:- ; pair= r:1:3:+ r:3:5:- r:5:7:+",
+     "base="),
+    # evenpair spells out pair= q:2:4:+, which the singles already determine
+    ("check", "evenpair", "cusp=c0 ; jord= q:2 q:4 ; single= q:2:+ q:4:+ ; pair=",
+     "admissible, 1 step\n"),
+], ids=["demo", "evenpair"])
+def test_triple_text_source_matches_named_source(command, name, text, head):
+    named = run_cli([command, "--config", BASE, "--triple", name])
+    literal = run_cli([command, "--config", BASE, "--text", text])
     assert named == literal
+    assert literal[0] == 0 and literal[1].startswith(head)
 
 
 # -- exit codes --------------------------------------------------------------
@@ -116,11 +124,25 @@ def test_usage_errors_exit_2(argv, fragment):
     (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--base", "5"],
      "missing from the base"),
     (["reduce", "--config", BASE, "--triple", "bad"], "missing single"),
+    (["check", "--config", BASE, "--text",
+      "cusp=c0 ; jord= r:1 r:3 ; single= r:1:+ r:3:+ ; pair= r:1:3:-"],
+     "violation: pair sign on r:1-3 breaks the product rule"),
 ])
 def test_domain_errors_exit_1(argv, fragment):
     code, out, err = run_cli(argv)
     assert code == 1
-    assert fragment in err
+    # check reports violations on stdout; the other commands fail on stderr
+    assert fragment in (out if argv[0] == "check" else err)
+
+
+def test_bench_data_mirrors_the_test_goldens_and_fixtures():
+    # the benchmark's cli workload replays these commands against its own copy
+    bench = HERE.parent / "bench" / "data"
+    for kind in ("golden", "fixtures"):
+        ours = sorted(p.name for p in (HERE / kind).iterdir())
+        assert sorted(p.name for p in (bench / kind).iterdir()) == ours
+        for name in ours:
+            assert (bench / kind / name).read_bytes() == (HERE / kind / name).read_bytes(), name
 
 
 def test_missing_config_flag_exits_2():

@@ -115,12 +115,6 @@ def test_memoization_returns_the_registered_sum(table):
     assert table.lookup(induce(s, C0)) is first
 
 
-def test_unmemoized_expansion_stays_out_of_the_table(table):
-    s = Segment(r, 0, 0)
-    expand_induced(s, C0, table, memoize=False)
-    assert induce(s, C0) not in table
-
-
 def test_lookup_of_unknown_object(table):
     with pytest.raises(ValueError, match="no expansion registered"):
         table.lookup(induce(Segment(r, 0, 3), C0))

@@ -14,6 +14,7 @@ from segtriples import (
     canonical_chain,
     dominates,
     dominating_extensions,
+    enumerate_admissible,
     is_admissible,
     is_alternated,
     linking_sign,
@@ -89,6 +90,34 @@ def test_make_triple_fills_pairs_by_the_product_rule():
     assert t.pair(r, 1, 3) == MINUS
     assert t.pair(r, 3, 5) == PLUS
     assert validate_triple(t) == []
+
+
+def test_rows_store_pair_signs_only_where_singles_are_undefined():
+    assert make_triple is JordanTriple
+    # a given pair equal to the product of its singles is dropped, so a
+    # record that leaves it out builds the same triple
+    jord, singles = [(q, 2), (q, 4)], {(q, 2): PLUS, (q, 4): PLUS}
+    t = JordanTriple(C0, jord, singles, {(q, 2, 4): PLUS})
+    assert t == JordanTriple(C0, jord, singles) and hash(t) == hash(JordanTriple(C0, jord, singles))
+    assert t.rows == {q: ((2, 4), {2: PLUS, 4: PLUS}, {})}
+    assert t.pairs == (((q, 2, 4), PLUS),)
+    assert validate_triple(t) == []
+    for t in enumerate_admissible(C0, [r, q], max_a=7):
+        assert validate_triple(t) == []
+        for rho, (_, _, pairs) in t.rows.items():
+            assert not (singles_defined(C0, rho) and pairs), triple_text(t)
+
+
+@pytest.mark.parametrize("jord,singles,pairs", [
+    ([(r, 3.7)], None, None),
+    ([(r, 3)], None, {(r, 1, 3): True}),
+    ([(r, 1), (r, 3)], {(r, 1.0): PLUS}, None),
+    ([(r, 1), (r, 3)], {(r, 1): 1.0}, None),
+    ([(r, 1), (r, 3)], None, {(r, 1, 3.5): PLUS}),
+])
+def test_constructor_rejects_non_integer_blocks_and_signs(jord, singles, pairs):
+    with pytest.raises(ValueError, match="not an integer"):
+        JordanTriple(C1, jord, singles, pairs)
 
 
 def test_validate_empty_triple():
@@ -327,6 +356,11 @@ def test_extension_guards():
     bad = odd_triple(C0, [1, 3], {1: PLUS, 3: MINUS})
     with pytest.raises(NotAdmissibleError):
         dominating_extensions(bad, 5, 7, r)
+
+
+def test_extensions_reject_bool_blocks():
+    with pytest.raises(ValueError, match="not an integer"):
+        dominating_extensions(JordanTriple(C0), True, 3, r)
 
 
 def test_linking_sign_variants():
