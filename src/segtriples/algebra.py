@@ -5,7 +5,10 @@ The basic objects are segments: intervals of consecutive twists
 of segments span the positive cone of the Grothendieck group, and the
 comultiplication sends a segment to the sum of its suffix (x) prefix
 splittings.  Everything here is exact integer combinatorics: terms are
-immutable, sums are multisets with positive integer coefficients.
+immutable, sums are multisets with positive integer coefficients.  Each
+term type builds one ``key`` over doubled integers that decides equality,
+hashing and order; HalfInt appears only where endpoints are given or
+read, and a sum sorts its terms only to render them.
 """
 
 from __future__ import annotations
@@ -68,32 +71,40 @@ class Segment:
 
     The span b - a must be an integer >= -1; the value -1 encodes the
     empty segment, which acts as the unit of the term monoid and is
-    silently dropped when terms are assembled.
+    silently dropped when terms are assembled.  The stored ``key``,
+    (rho.id, 2a, 2b), decides equality, hash and canonical order; ``a``,
+    ``b`` and ``center`` are HalfInt values built from it when read.
     """
 
-    __slots__ = ("rho", "a", "b")
+    __slots__ = ("rho", "key")
 
     def __init__(self, rho: CuspidalSymbol, a, b):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
-        a = HalfInt(a) if not isinstance(a, HalfInt) else a
-        b = HalfInt(b) if not isinstance(b, HalfInt) else b
-        span = b - a
-        if not span.is_integer:
+        a, b = HalfInt(a), HalfInt(b)
+        span = b.twice - a.twice
+        if span % 2:
             raise ValueError(f"segment endpoints must differ by an integer: a={a}, b={b}")
-        if int(span) < -1:
+        if span < -2:
             raise ValueError(f"segment [{a},{b}] is shorter than empty")
         self.rho = rho
-        self.a = a
-        self.b = b
+        self.key = (rho.id, a.twice, b.twice)
+
+    @property
+    def a(self) -> HalfInt:
+        return HalfInt.from_twice(self.key[1])
+
+    @property
+    def b(self) -> HalfInt:
+        return HalfInt.from_twice(self.key[2])
 
     @property
     def is_empty(self) -> bool:
-        return int(self.b - self.a) == -1
+        return self.key[2] - self.key[1] == -2
 
     @property
     def length(self) -> int:
-        return int(self.b - self.a) + 1
+        return (self.key[2] - self.key[1]) // 2 + 1
 
     @property
     def degree(self) -> int:
@@ -102,19 +113,15 @@ class Segment:
     @property
     def center(self) -> HalfInt:
         """The exponent (a+b)/2 making the twisted segment unitarizable."""
-        return HalfInt.from_twice((self.a.twice + self.b.twice) // 2)
-
-    @property
-    def sort_key(self):
-        return (self.rho.id, self.a.twice, self.b.twice)
+        return HalfInt.from_twice((self.key[1] + self.key[2]) // 2)
 
     def __eq__(self, other):
         if not isinstance(other, Segment):
             return NotImplemented
-        return self.rho == other.rho and self.a == other.a and self.b == other.b
+        return self.key == other.key
 
     def __hash__(self):
-        return hash((self.rho, self.a.twice, self.b.twice))
+        return hash(self.key)
 
     def __str__(self):
         if self.is_empty:
@@ -128,24 +135,27 @@ class Segment:
 class GLTerm:
     """A formal product of nonempty segments, i.e. a multiset.
 
-    The empty multiset is the unit of the Grothendieck-group product.
+    The segments are kept in canonical order, and ``key`` is the tuple
+    of their keys; it decides equality, hash and canonical order.  The
+    empty multiset is the unit of the Grothendieck-group product.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("segments", "key")
 
     def __init__(self, segments=()):
-        segs = tuple(sorted(segments, key=lambda s: s.sort_key))
+        segs = tuple(sorted(segments, key=lambda s: s.key))
         for s in segs:
             if not isinstance(s, Segment):
                 raise TypeError("GLTerm holds Segment objects")
             if s.is_empty:
                 raise ValueError("GLTerm must not contain empty segments")
         self.segments = segs
+        self.key = tuple(s.key for s in segs)
 
     @classmethod
     def of(cls, *segments) -> "GLTerm":
         """Build a term, dropping empty segments (they are the unit)."""
-        return cls(tuple(s for s in segments if not s.is_empty))
+        return cls(s for s in segments if not s.is_empty)
 
     @classmethod
     def unit(cls) -> "GLTerm":
@@ -159,10 +169,6 @@ class GLTerm:
     def degree(self) -> int:
         return sum(s.degree for s in self.segments)
 
-    @property
-    def sort_key(self):
-        return tuple(s.sort_key for s in self.segments)
-
     def __mul__(self, other):
         if not isinstance(other, GLTerm):
             return NotImplemented
@@ -171,10 +177,10 @@ class GLTerm:
     def __eq__(self, other):
         if not isinstance(other, GLTerm):
             return NotImplemented
-        return self.segments == other.segments
+        return self.key == other.key
 
     def __hash__(self):
-        return hash(self.segments)
+        return hash(self.key)
 
     def __str__(self):
         if self.is_unit:
@@ -189,7 +195,7 @@ def term_key(term):
     """Canonical sort key for any term a FormalSum may carry."""
     if isinstance(term, tuple):
         return tuple(term_key(t) for t in term)
-    return term.sort_key
+    return term.key
 
 
 def _term_mul(s, t):
@@ -209,7 +215,8 @@ class FormalSum:
 
     Terms are either GLTerm (plain grade) or 2-tuples for tensor grades;
     all coefficients are positive, and a missing term has coefficient 0.
-    Sums are immutable: arithmetic returns new objects.
+    Sums are immutable: arithmetic returns new objects.  ``terms`` is
+    the canonical order, used to render; iteration is unordered.
     """
 
     __slots__ = ("_coeffs",)
@@ -254,7 +261,7 @@ class FormalSum:
         return bool(self._coeffs)
 
     def __iter__(self):
-        return iter(self.terms)
+        return iter(self._coeffs.items())
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):

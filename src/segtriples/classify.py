@@ -27,6 +27,7 @@ from .triples import (
     NotAdmissibleError,
     _alternation,
     _extend,
+    _integer,
     _parse_sign,
     _peel,
     _sign_char,
@@ -159,7 +160,10 @@ def _block_sets(rho, max_a, max_jord, explicit):
     if explicit is not None:
         sets = []
         for blocks in explicit:
-            blocks = tuple(sorted(int(a) for a in blocks))
+            blocks = tuple(sorted(_integer(a, "block") for a in blocks))
+            for a in blocks:
+                if a < 1 or not rho.matches_parity(a):
+                    raise ValueError(f"block {a} is not a positive {rho.parity} block at {rho.id}")
             if len(set(blocks)) != len(blocks):
                 raise ValueError(f"duplicate block in explicit set {blocks} at {rho.id}")
             sets.append(blocks)
@@ -192,9 +196,6 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     for rho in symbols:
         survivors = []
         for blocks in _block_sets(rho, max_a, max_jord, jord_sets.get(rho.id)):
-            for a in blocks:
-                if not rho.matches_parity(a):
-                    raise ValueError(f"block {a} has the wrong parity for {rho.id}")
             survivors += [t for t in _sign_assignments(cusp, rho, blocks)
                           if _peel(t, rho) is not None]
         per_symbol.append(survivors)

@@ -29,8 +29,8 @@ class LRatio:
     __slots__ = ("numerator_shift", "denominator_shift")
 
     def __init__(self, numerator_shift, denominator_shift):
-        self.numerator_shift = HalfInt(numerator_shift) if not isinstance(numerator_shift, HalfInt) else numerator_shift
-        self.denominator_shift = HalfInt(denominator_shift) if not isinstance(denominator_shift, HalfInt) else denominator_shift
+        self.numerator_shift = HalfInt(numerator_shift)
+        self.denominator_shift = HalfInt(denominator_shift)
 
     def order_at_zero(self) -> int:
         """+1 for a pole, -1 for a zero, 0 otherwise."""
@@ -54,8 +54,7 @@ class EmbeddingDatum:
     def __init__(self, rho: CuspidalSymbol, x, y, base_jord=()):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
-        x = HalfInt(x) if not isinstance(x, HalfInt) else x
-        y = HalfInt(y) if not isinstance(y, HalfInt) else y
+        x, y = HalfInt(x), HalfInt(y)
         span = x - y
         if not span.is_integer or int(span) < 0:
             raise ValueError(f"x - y must be a nonnegative integer, got x={x}, y={y}")

@@ -7,7 +7,7 @@ GL (x) tower and records, level by level, what the normalized Jacquet
 restriction sees.  The expansion of an induced object is computed from
 the expansion of its base by the structural formula: a double sum over
 the ways the inducing segment can shed a contragredient prefix and a
-plain suffix.
+plain suffix.  Every loop here walks sums unordered.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ class GSpinTerm:
     The base is a bare name; cuspidal leaves have an empty stack.  The
     stack order records how the object was built, which is convenient
     for memoization; ``flattened`` forgets it, since products commute in
-    the Grothendieck group.
+    the Grothendieck group.  ``key`` is the tuple of the stack's GL keys
+    and the base; it decides equality, hash and canonical order.
     """
 
-    __slots__ = ("gl_terms", "base")
+    __slots__ = ("gl_terms", "base", "key")
 
     def __init__(self, gl_terms, base: str):
         gl_terms = tuple(gl_terms)
@@ -38,6 +39,7 @@ class GSpinTerm:
             raise ValueError("base must be a nonempty name")
         self.gl_terms = gl_terms
         self.base = base
+        self.key = (tuple(t.key for t in gl_terms), base)
 
     @classmethod
     def cuspidal(cls, name: str) -> "GSpinTerm":
@@ -49,12 +51,8 @@ class GSpinTerm:
 
     def flattened(self) -> "GSpinTerm":
         """Merge the stack into one multiset; canonical up to commutation."""
-        merged = GLTerm.unit()
-        for t in self.gl_terms:
-            merged = merged * t
-        if merged.is_unit:
-            return GSpinTerm((), self.base)
-        return GSpinTerm((merged,), self.base)
+        merged = GLTerm(s for t in self.gl_terms for s in t.segments)
+        return GSpinTerm((merged,) if self.gl_terms else (), self.base)
 
     def degree(self, leaf_degree=None) -> int:
         """GL degree of the stack plus the declared degree of the base."""
@@ -63,17 +61,13 @@ class GSpinTerm:
             d += leaf_degree.get(self.base, 0)
         return d
 
-    @property
-    def sort_key(self):
-        return (tuple(t.sort_key for t in self.gl_terms), self.base)
-
     def __eq__(self, other):
         if not isinstance(other, GSpinTerm):
             return NotImplemented
-        return self.gl_terms == other.gl_terms and self.base == other.base
+        return self.key == other.key
 
     def __hash__(self):
-        return hash((self.gl_terms, self.base))
+        return hash(self.key)
 
     def __str__(self):
         if self.is_cuspidal:
@@ -97,15 +91,17 @@ def induce(top, obj: GSpinTerm) -> GSpinTerm:
 
 
 def _check_entry(obj: GSpinTerm, expansion: FormalSum):
-    unit_terms = [(t, c) for t, c in expansion.terms
-                  if isinstance(t, tuple) and len(t) == 2 and t[0] == GLTerm.unit()]
-    if len(unit_terms) != 1 or unit_terms[0][0][1] != obj or unit_terms[0][1] != 1:
+    unit_rows, graded = [], True
+    for t, c in expansion:
+        gl_left = isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], GLTerm)
+        graded = graded and gl_left and isinstance(t[1], GSpinTerm)
+        if gl_left and t[0].is_unit:
+            unit_rows.append((t[1], c))
+    if unit_rows != [(obj, 1)]:
         raise ValueError("an expansion must contain exactly one unit-left term, "
                          "1 (x) the object itself, with coefficient 1")
-    for t, _ in expansion.terms:
-        if not (isinstance(t, tuple) and len(t) == 2
-                and isinstance(t[0], GLTerm) and isinstance(t[1], GSpinTerm)):
-            raise GradeError("expansion terms must be GL (x) tower pairs")
+    if not graded:
+        raise GradeError("expansion terms must be GL (x) tower pairs")
 
 
 class ExpansionTable:
@@ -172,12 +168,10 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     out = {}
     for i in HalfInt.range_inclusive(-k - 1, l):
         for j in HalfInt.range_inclusive(i, l):
-            shed_left = Segment(rho, -i, k)
-            shed_right = Segment(rho, j + 1, l)
+            shed = GLTerm.of(Segment(rho, -i, k), Segment(rho, j + 1, l))
             kept = Segment(rho, i + 1, j)
-            for (tau, sprime), c in base_rows.terms:
-                gl = GLTerm.of(shed_left, shed_right) * tau
-                key = (gl, induce(kept, sprime))
+            for (tau, sprime), c in base_rows:
+                key = (shed * tau, induce(kept, sprime))
                 out[key] = out.get(key, 0) + c
     result = FormalSum(out)
     table.register(node, result)
@@ -187,16 +181,9 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
 def flatten_sum(expansion: FormalSum) -> FormalSum:
     """Forget stack order on every induced leg; sums from different
     build orders of the same object agree after this."""
-    out = {}
-    for (gl, obj), c in expansion.terms:
-        key = (gl, obj.flattened())
-        out[key] = out.get(key, 0) + c
-    return FormalSum(out)
+    return FormalSum(((gl, obj.flattened()), c) for (gl, obj), c in expansion)
 
 
 def degree_conserved(expansion: FormalSum, total: int, leaf_degree=None) -> bool:
     """True iff every term's GL degree plus induced-leg degree is ``total``."""
-    for (gl, obj), _ in expansion.terms:
-        if gl.degree + obj.degree(leaf_degree) != total:
-            return False
-    return True
+    return all(gl.degree + obj.degree(leaf_degree) == total for (gl, obj), _ in expansion)

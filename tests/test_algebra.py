@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from segtriples import (
     EVEN,
@@ -70,6 +71,25 @@ def test_segment_center():
     assert Segment(q, HalfInt(-0.5), HalfInt(0.5)).center == HalfInt(0)
 
 
+def _endpoint_order(term):
+    return tuple((s.rho.id, s.a.twice, s.b.twice) for s in term.segments)
+
+
+@given(st.sampled_from([r, q]), st.integers(-6, 6), st.integers(-1, 4), st.integers(0, 3))
+def test_segment_identity_and_order_follow_the_endpoints(rho, twice, span, other):
+    lo, hi = HalfInt.from_twice(twice), HalfInt.from_twice(twice + 2 * span)
+    forms = [Segment(rho, lo, hi), Segment(rho, lo.twice / 2, hi.twice / 2)]
+    if lo.is_integer:
+        forms.append(Segment(rho, int(lo), int(hi)))
+    assert all(s == forms[0] and hash(s) == hash(forms[0]) for s in forms)
+    if forms[0].is_empty:
+        return
+    # the canonical order, pinned without the library's own keys
+    for out in (comult(forms[0]), comult(forms[0]) * comult(Segment(rho, lo, lo + other))):
+        got = [term for term, _ in out.terms]
+        assert got == sorted(got, key=lambda lr: (_endpoint_order(lr[0]), _endpoint_order(lr[1])))
+
+
 def test_segment_text():
     assert str(seg(0, 2)) == "d([0,2],r)"
     assert str(Segment(q, HalfInt(-0.5), HalfInt(0.5))) == "d([-1/2,1/2],q)"
@@ -83,6 +103,7 @@ def test_glterm_is_a_sorted_multiset():
     a, b = seg(0, 1), seg(2, 2)
     assert GLTerm.of(a, b) == GLTerm.of(b, a)
     assert GLTerm.of(a, a).segments == (a, a)
+    assert GLTerm(iter([b, a])) == GLTerm.of(a, b)
 
 
 def test_glterm_unit_handling():

@@ -238,6 +238,11 @@ def test_enumeration_with_explicit_block_sets():
         enumerate_admissible(C0, [q], jord_sets={"q": [[3]]})
     with pytest.raises(ValueError):
         enumerate_admissible(C0, [q])  # no bound at all
+    for rho, bad in ((r, [[1, 3.7]]), (r, [[True, 3]]), (q, [[0, 2]])):
+        with pytest.raises(ValueError):
+            enumerate_admissible(C0, [rho], jord_sets={rho.id: bad})
+    with pytest.raises(ValueError):
+        count_by_jord(C0, {q: {0, 2}})
 
 
 def test_enumeration_results_are_admissible_and_sorted():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segtriples import (
     EVEN,
@@ -16,8 +17,10 @@ from segtriples import (
     degree_conserved,
     expand_induced,
     flatten_sum,
+    comult,
     induce,
 )
+from helpers import comult_gl
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -183,3 +186,58 @@ def test_degree_conservation_on_random_towers():
             total += s.degree
             assert degree_conserved(out, total, leaf_degree)
             assert out.coefficient((GLTerm.unit(), cur)) == 1
+
+
+def _random_segment(rng):
+    rho = rng.choice([r, q])
+    a = HalfInt.from_twice(2 * rng.randint(-3, 3) + (0 if rho is r else 1))
+    return Segment(rho, a, a + rng.randint(0, 3))
+
+
+def _mu_star_from_comult(seg, base_rows):
+    """Tadic's structure formula, built from the comultiplication: every
+    L (x) R of m*(seg), every u (x) kept of m*(L) and every base row
+    tau (x) s' give (R^v x u x tau) (x) (kept |x s'), where R^v maps
+    each segment [x, y] to [-y, -x]."""
+    out = {}
+    for (left, right), _ in comult(seg).terms:
+        dual = GLTerm.of(*(Segment(s.rho, -s.b, -s.a) for s in right.segments))
+        for (u, kept), _ in comult_gl(left).terms:
+            for (tau, sprime), c in base_rows.terms:
+                key = (dual * u * tau, induce(kept, sprime))
+                out[key] = out.get(key, 0) + c
+    return FormalSum(out)
+
+
+def test_expansion_matches_the_structure_formula_built_from_comult():
+    rng = random.Random(11)
+    table = ExpansionTable()
+    base = table.add_cuspidal("c0")
+    for _ in range(250):
+        cur = base
+        for _ in range(rng.randint(1, 3)):
+            s = _random_segment(rng)
+            want = _mu_star_from_comult(s, table.lookup(cur))
+            assert expand_induced(s, cur, table) == want
+            cur = induce(s, cur)
+
+
+@st.composite
+def segments(draw):
+    rho = draw(st.sampled_from([r, q]))
+    a = HalfInt.from_twice(2 * draw(st.integers(-3, 3)) + (0 if rho is r else 1))
+    return Segment(rho, a, a + draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(segments(), min_size=2, max_size=3), st.data())
+def test_flatten_forgets_build_order_on_random_stacks(segs, data):
+    sums = []
+    for order in (segs, data.draw(st.permutations(segs))):
+        tab = ExpansionTable()
+        cur = tab.add_cuspidal("c0")
+        for s in order:
+            expand_induced(s, cur, tab)
+            cur = induce(s, cur)
+        sums.append(flatten_sum(tab.lookup(cur)))
+    assert sums[0] == sums[1]
