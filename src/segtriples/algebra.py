@@ -5,13 +5,22 @@ The basic objects are segments: intervals of consecutive twists
 of segments span the positive cone of the Grothendieck group, and the
 comultiplication sends a segment to the sum of its suffix (x) prefix
 splittings.  Everything here is exact integer combinatorics: terms are
-immutable, sums are multisets with positive integer coefficients.  Each
-term type builds one ``key`` over doubled integers that decides equality,
-hashing and order; HalfInt appears only where endpoints are given or
-read, and a sum sorts its terms only to render them.
+frozen (assigning an attribute raises AttributeError), sums are
+multisets with positive integer coefficients.  Each term type builds one
+``key`` over doubled integers that decides equality, hashing and order;
+GL terms hash their key once, when built.  HalfInt appears only where
+endpoints are given or read, and a sum sorts its terms only to render
+them.
+
+The public constructors check what they are given.  Products of GL terms
+do not check again: both factors are already valid and sorted, so
+``GLTerm.__mul__`` merges their key tuples and builds the result through
+the trusted ``GLTerm._trusted``, which neither sorts nor checks.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .halfint import HalfInt
 
@@ -66,6 +75,10 @@ class CuspidalSymbol:
         return f"CuspidalSymbol({self.id!r}, rank={self.rank}, parity={self.parity!r})"
 
 
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Segment:
     """The interval [nu^a rho, nu^b rho] of consecutive twists.
 
@@ -74,9 +87,11 @@ class Segment:
     silently dropped when terms are assembled.  The stored ``key``,
     (rho.id, 2a, 2b), decides equality, hash and canonical order; ``a``,
     ``b`` and ``center`` are HalfInt values built from it when read.
+    Segments are frozen.
     """
 
     __slots__ = ("rho", "key")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, rho: CuspidalSymbol, a, b):
         if not isinstance(rho, CuspidalSymbol):
@@ -87,8 +102,8 @@ class Segment:
             raise ValueError(f"segment endpoints must differ by an integer: a={a}, b={b}")
         if span < -2:
             raise ValueError(f"segment [{a},{b}] is shorter than empty")
-        self.rho = rho
-        self.key = (rho.id, a.twice, b.twice)
+        _set_rho(self, rho)
+        _set_seg_key(self, (rho.id, a.twice, b.twice))
 
     @property
     def a(self) -> HalfInt:
@@ -136,11 +151,15 @@ class GLTerm:
     """A formal product of nonempty segments, i.e. a multiset.
 
     The segments are kept in canonical order, and ``key`` is the tuple
-    of their keys; it decides equality, hash and canonical order.  The
-    empty multiset is the unit of the Grothendieck-group product.
+    of their keys; it decides equality, hash and canonical order, and
+    its hash is computed once, when the term is built.  The empty
+    multiset is the unit of the Grothendieck-group product.  A product
+    merges the factors' sorted keys instead of sorting again.  Terms
+    are frozen.
     """
 
-    __slots__ = ("segments", "key")
+    __slots__ = ("segments", "key", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, segments=()):
         segs = tuple(sorted(segments, key=lambda s: s.key))
@@ -149,8 +168,20 @@ class GLTerm:
                 raise TypeError("GLTerm holds Segment objects")
             if s.is_empty:
                 raise ValueError("GLTerm must not contain empty segments")
-        self.segments = segs
-        self.key = tuple(s.key for s in segs)
+        key = tuple(s.key for s in segs)
+        _set_segments(self, segs)
+        _set_gl_key(self, key)
+        _set_gl_hash(self, hash(key))
+
+    @classmethod
+    def _trusted(cls, segments: tuple, key: tuple) -> "GLTerm":
+        """A term from nonempty segments already in key order, and their
+        keys; nothing is sorted or checked."""
+        self = object.__new__(cls)
+        _set_segments(self, segments)
+        _set_gl_key(self, key)
+        _set_gl_hash(self, hash(key))
+        return self
 
     @classmethod
     def of(cls, *segments) -> "GLTerm":
@@ -172,7 +203,12 @@ class GLTerm:
     def __mul__(self, other):
         if not isinstance(other, GLTerm):
             return NotImplemented
-        return GLTerm(self.segments + other.segments)
+        if not other.segments:
+            return self
+        if not self.segments:
+            return other
+        return GLTerm._trusted(*_merge_sorted(self.segments, self.key,
+                                              other.segments, other.key))
 
     def __eq__(self, other):
         if not isinstance(other, GLTerm):
@@ -180,7 +216,7 @@ class GLTerm:
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __str__(self):
         if self.is_unit:
@@ -189,6 +225,34 @@ class GLTerm:
 
     def __repr__(self):
         return f"GLTerm({list(self.segments)!r})"
+
+
+_set_rho = Segment.rho.__set__
+_set_seg_key = Segment.key.__set__
+_set_segments = GLTerm.segments.__set__
+_set_gl_key = GLTerm.key.__set__
+_set_gl_hash = GLTerm._hash.__set__
+
+
+def _merge_sorted(segs, keys, more_segs, more_keys):
+    """Merge two nonempty key-sorted runs of segments, given with their
+    key tuples, into one (segments, keys) pair.  Runs that do not
+    overlap are joined; otherwise the shorter run is inserted into the
+    longer one by binary search."""
+    if keys[-1] <= more_keys[0]:
+        return segs + more_segs, keys + more_keys
+    if more_keys[-1] <= keys[0]:
+        return more_segs + segs, more_keys + keys
+    if len(more_keys) > len(keys):
+        segs, keys, more_segs, more_keys = more_segs, more_keys, segs, keys
+    segs, keys = list(segs), list(keys)
+    at = 0
+    for s, k in zip(more_segs, more_keys):
+        at = bisect_right(keys, k, at)
+        keys.insert(at, k)
+        segs.insert(at, s)
+        at += 1
+    return tuple(segs), tuple(keys)
 
 
 def term_key(term):

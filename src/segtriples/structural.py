@@ -8,11 +8,20 @@ restriction sees.  The expansion of an induced object is computed from
 the expansion of its base by the structural formula: a double sum over
 the ways the inducing segment can shed a contragredient prefix and a
 plain suffix.  Every loop here walks sums unordered.
+
+The base rows and the segments built here are already valid, so the
+inner loop of ``expand_induced`` makes its terms without checking them
+again.  The base rows are grouped by their GL leg, each leg is merged
+once with the shed segments, and the kept segment goes on top of an
+existing object through the trusted ``GSpinTerm._on_top``.  Objects are
+frozen and hash their key once, when built.
 """
 
 from __future__ import annotations
 
-from .algebra import FormalSum, GLTerm, GradeError, Segment
+from operator import attrgetter
+
+from .algebra import FormalSum, GLTerm, GradeError, Segment, _immutable
 from .halfint import HalfInt
 
 
@@ -23,10 +32,13 @@ class GSpinTerm:
     stack order records how the object was built, which is convenient
     for memoization; ``flattened`` forgets it, since products commute in
     the Grothendieck group.  ``key`` is the tuple of the stack's GL keys
-    and the base; it decides equality, hash and canonical order.
+    and the base; it decides equality, hash and canonical order, and its
+    hash is computed once, when the object is built.  Objects are
+    frozen.
     """
 
-    __slots__ = ("gl_terms", "base", "key")
+    __slots__ = ("gl_terms", "base", "key", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, gl_terms, base: str):
         gl_terms = tuple(gl_terms)
@@ -37,9 +49,27 @@ class GSpinTerm:
                 raise ValueError("unit GL factors are not stored on the stack")
         if not isinstance(base, str) or not base:
             raise ValueError("base must be a nonempty name")
-        self.gl_terms = gl_terms
-        self.base = base
-        self.key = (tuple(t.key for t in gl_terms), base)
+        key = (tuple(t.key for t in gl_terms), base)
+        _set_gl_terms(self, gl_terms)
+        _set_base(self, base)
+        _set_key(self, key)
+        _set_hash(self, hash(key))
+
+    @classmethod
+    def _trusted(cls, gl_terms: tuple, base: str, stack_key: tuple) -> "GSpinTerm":
+        """An object from a stack of nonunit GL terms and the tuple of
+        their keys; nothing is checked."""
+        out = object.__new__(cls)
+        key = (stack_key, base)
+        _set_gl_terms(out, gl_terms)
+        _set_base(out, base)
+        _set_key(out, key)
+        _set_hash(out, hash(key))
+        return out
+
+    def _on_top(self, top: GLTerm) -> "GSpinTerm":
+        """``top``, a nonunit GL term, put on this object's stack."""
+        return GSpinTerm._trusted((top,) + self.gl_terms, self.base, (top.key,) + self.key[0])
 
     @classmethod
     def cuspidal(cls, name: str) -> "GSpinTerm":
@@ -51,8 +81,11 @@ class GSpinTerm:
 
     def flattened(self) -> "GSpinTerm":
         """Merge the stack into one multiset; canonical up to commutation."""
-        merged = GLTerm(s for t in self.gl_terms for s in t.segments)
-        return GSpinTerm((merged,) if self.gl_terms else (), self.base)
+        if len(self.gl_terms) < 2:
+            return self
+        segs = tuple(sorted([s for t in self.gl_terms for s in t.segments], key=_segment_key))
+        keys = tuple(map(_segment_key, segs))
+        return GSpinTerm._trusted((GLTerm._trusted(segs, keys),), self.base, (keys,))
 
     def degree(self, leaf_degree=None) -> int:
         """GL degree of the stack plus the declared degree of the base."""
@@ -67,7 +100,7 @@ class GSpinTerm:
         return self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __str__(self):
         if self.is_cuspidal:
@@ -77,6 +110,13 @@ class GSpinTerm:
 
     def __repr__(self):
         return f"GSpinTerm({list(self.gl_terms)!r}, {self.base!r})"
+
+
+_segment_key = attrgetter("key")
+_set_gl_terms = GSpinTerm.gl_terms.__set__
+_set_base = GSpinTerm.base.__set__
+_set_key = GSpinTerm.key.__set__
+_set_hash = GSpinTerm._hash.__set__
 
 
 def induce(top, obj: GSpinTerm) -> GSpinTerm:
@@ -161,7 +201,10 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     node = induce(seg, base)
     if node in table:
         return table.lookup(node)
-    base_rows = table.lookup(base)
+    # base rows grouped by their GL leg, so each product is merged once
+    by_tau = {}
+    for (tau, sprime), c in table.lookup(base):
+        by_tau.setdefault(tau, []).append((sprime, c))
     rho = seg.rho
     k = -seg.a
     l = seg.b
@@ -169,10 +212,12 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     for i in HalfInt.range_inclusive(-k - 1, l):
         for j in HalfInt.range_inclusive(i, l):
             shed = GLTerm.of(Segment(rho, -i, k), Segment(rho, j + 1, l))
-            kept = Segment(rho, i + 1, j)
-            for (tau, sprime), c in base_rows:
-                key = (shed * tau, induce(kept, sprime))
-                out[key] = out.get(key, 0) + c
+            kept = GLTerm.of(Segment(rho, i + 1, j))
+            for tau, rows in by_tau.items():
+                gl = shed * tau
+                for sprime, c in rows:
+                    key = (gl, sprime._on_top(kept) if kept.segments else sprime)
+                    out[key] = out.get(key, 0) + c
     result = FormalSum(out)
     table.register(node, result)
     return result

@@ -129,6 +129,27 @@ def test_criterion_3_update_rule_matches_pole_orders():
     assert checked > 3000 and raised > 3000
 
 
+def test_chain_steps_agree_with_the_update_rule_and_pole_orders():
+    """A canonical-chain step inserting (lower, upper) at rho is the
+    embedding with x = (upper - 1)/2 and y = (1 - lower)/2 over the Jord
+    at rho before the step; both lcalc routes give the Jord after it."""
+    steps = 0
+    for cusp in (C0, C17):
+        for t in enumerate_admissible(cusp, [r, q], max_a=9):
+            after = t
+            for step in reversed(canonical_chain(t).steps):
+                before = reduce_at(after, step.rho, step.lower, step.upper)
+                emb = EmbeddingDatum(step.rho, HalfInt.from_twice(step.upper - 1),
+                                     HalfInt.from_twice(1 - step.lower),
+                                     before.jord_of(step.rho))
+                want = frozenset(after.jord_of(step.rho))
+                assert jord_update(emb) == want
+                assert jordan_set_from_pole_orders(emb, 11) == want
+                after = before
+                steps += 1
+    assert steps == 6416
+
+
 def test_criterion_4_structural_formula_hand_tables():
     """The two hand-computed expansion tables come out exactly, and 1000
     randomized towers conserve degree with a unique unit-left lead term."""

@@ -120,6 +120,47 @@ def test_glterm_product_and_degree():
     assert str(GLTerm.of(seg(0, 0), seg(0, 0))) == "d([0,0],r) x d([0,0],r)"
 
 
+@st.composite
+def gl_terms(draw):
+    """Products of 0-4 segments over two symbols; repeats allowed."""
+    segs = []
+    for _ in range(draw(st.integers(0, 4))):
+        rho = draw(st.sampled_from([r, q]))
+        a = HalfInt.from_twice(2 * draw(st.integers(-2, 2)) + (0 if rho is r else 1))
+        segs.append(Segment(rho, a, a + draw(st.integers(0, 2))))
+    return GLTerm(segs)
+
+
+@given(gl_terms(), gl_terms())
+def test_glterm_product_merges_like_the_public_constructor(a, b):
+    prod = a * b
+    want = GLTerm(a.segments + b.segments)
+    assert prod.segments == want.segments
+    assert prod.key == want.key
+    assert hash(prod) == hash(want) == hash(want.key)
+    unit = GLTerm.unit()
+    assert a * unit == a == unit * a
+    if not a.is_unit:
+        assert a * unit is a and unit * a is a
+
+
+def test_values_are_frozen():
+    s = seg(0, 1)
+    d = {s: 1}
+    with pytest.raises(AttributeError):
+        s.key = ("r", 0, 4)
+    assert s in d
+    t = GLTerm.of(s)
+    d = {t: 1}
+    with pytest.raises(AttributeError):
+        t.key = (("r", 0, 4),)
+    with pytest.raises(AttributeError):
+        t._hash = 0
+    with pytest.raises(AttributeError):
+        del t.segments
+    assert t in d
+
+
 # -- formal sums -------------------------------------------------------------
 
 

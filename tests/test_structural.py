@@ -241,3 +241,37 @@ def test_flatten_forgets_build_order_on_random_stacks(segs, data):
             cur = induce(s, cur)
         sums.append(flatten_sum(tab.lookup(cur)))
     assert sums[0] == sums[1]
+
+
+def _rebuilt(term):
+    gl, obj = term
+    return GLTerm(list(gl.segments)), GSpinTerm(list(obj.gl_terms), obj.base)
+
+
+def test_trusted_terms_equal_and_hash_as_publicly_built_ones():
+    rng = random.Random(5)
+    table = ExpansionTable()
+    base = table.add_cuspidal("c0")
+    checked = 0
+    for _ in range(80):
+        cur = base
+        for _ in range(rng.randint(1, 3)):
+            s = _random_segment(rng)
+            out = expand_induced(s, cur, table)
+            cur = induce(s, cur)
+            for term, _ in list(out) + list(flatten_sum(out)):
+                for x, rebuilt in zip(term, _rebuilt(term)):
+                    assert hash(x) == hash(x.key) == hash(rebuilt)
+                    assert x == rebuilt and x.key == rebuilt.key
+                checked += 1
+    assert checked > 1000
+
+
+def test_gspin_terms_are_frozen():
+    node = induce(Segment(r, 0, 1), C0)
+    d = {node: 1}
+    with pytest.raises(AttributeError):
+        node.key = ((), "c0")
+    with pytest.raises(AttributeError):
+        node.base = "c1"
+    assert node in d
