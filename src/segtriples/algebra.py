@@ -162,14 +162,15 @@ class GLTerm:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, segments=()):
-        segs = tuple(sorted(segments, key=lambda s: s.key))
+        segs = list(segments)
         for s in segs:
             if not isinstance(s, Segment):
                 raise TypeError("GLTerm holds Segment objects")
             if s.is_empty:
                 raise ValueError("GLTerm must not contain empty segments")
+        segs.sort(key=lambda s: s.key)
         key = tuple(s.key for s in segs)
-        _set_segments(self, segs)
+        _set_segments(self, tuple(segs))
         _set_gl_key(self, key)
         _set_gl_hash(self, hash(key))
 
@@ -186,7 +187,7 @@ class GLTerm:
     @classmethod
     def of(cls, *segments) -> "GLTerm":
         """Build a term, dropping empty segments (they are the unit)."""
-        return cls(s for s in segments if not s.is_empty)
+        return cls(s for s in segments if not isinstance(s, Segment) or not s.is_empty)
 
     @classmethod
     def unit(cls) -> "GLTerm":
@@ -298,10 +299,6 @@ class FormalSum:
         self._coeffs = data
 
     @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
-    @classmethod
     def of(cls, term, coeff: int = 1) -> "FormalSum":
         return cls({term: coeff})
 
@@ -349,11 +346,6 @@ class FormalSum:
                     prod = _term_mul(s, t)
                     out[prod] = out.get(prod, 0) + cs * ct
             return FormalSum(out)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.__mul__(other)
         return NotImplemented
 
     def __eq__(self, other):

@@ -183,14 +183,15 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
                          max_jord=None, jord_sets=None) -> list:
     """All admissible triples over cusp within the given block bounds.
 
-    Per symbol the candidate block sets are either listed explicitly in
+    The symbols are taken as a set: a repeated symbol counts once.  Per
+    symbol the candidate block sets are either listed explicitly in
     ``jord_sets`` (keyed by symbol id) or are all parity-correct
     subsets of [1, max_a], capped at ``max_jord`` blocks.  The result
     is sorted by canonical text: the product of the candidates each
     symbol's canonical peel admits on its own, or nothing when the
     support carries blocks at a symbol outside the list.
     """
-    symbols = sorted(symbols, key=lambda s: s.id)
+    symbols = sorted(set(symbols), key=lambda s: s.id)
     jord_sets = jord_sets or {}
     per_symbol = []
     for rho in symbols:

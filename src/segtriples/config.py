@@ -15,8 +15,12 @@ A config is one JSON file declaring the working pieces by name:
   in automatically.
 
 Loading resolves every cross reference and fails with ConfigError on
-the first structural problem.  Triples are parsed but not validated
-here, so the check command can report semantic violations itself.
+the first structural problem.  The loader checks JSON shape and cross
+references only; each value rule (rank, parity, blocks, duplicate
+fixture rows) is left to the library constructor that owns it, and its
+error is reported as ``<section>: <name>: ...``.  Triples are parsed
+but not validated here, so the check command can report semantic
+violations itself.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import json
 import re
 from pathlib import Path
 
-from .algebra import EVEN, ODD, CuspidalSymbol, FormalSum, GLTerm, Segment
+from .algebra import CuspidalSymbol, FormalSum, GLTerm, Segment
+from .classify import _block_sets
 from .halfint import HalfInt
 from .structural import ExpansionTable, GSpinTerm, induce
 from .triples import CuspidalSupport, _parse_triple_record
@@ -87,12 +92,10 @@ def _load_symbols(raw):
         _require(isinstance(row, dict), "symbols: entries are objects")
         sid = _ident(row.get("id"), "symbols")
         _require(sid not in symbols, f"symbols: duplicate id {sid!r}")
-        rank = row.get("rank", 1)
-        _require(isinstance(rank, int) and not isinstance(rank, bool) and rank >= 1,
-                 f"symbols: rank of {sid!r} must be a positive integer")
-        parity = row.get("parity")
-        _require(parity in (EVEN, ODD), f"symbols: parity of {sid!r} must be 'even' or 'odd'")
-        symbols[sid] = CuspidalSymbol(sid, rank, parity)
+        try:
+            symbols[sid] = CuspidalSymbol(sid, row.get("rank", 1), row.get("parity"))
+        except ValueError as exc:
+            raise ConfigError(f"symbols: {sid!r}: {exc}") from exc
     return symbols
 
 
@@ -141,18 +144,12 @@ def _load_bounds(raw, symbols, supports):
     clean_sets = {}
     for name, sets in jord_sets.items():
         _require(name in names, f"bounds: jord_sets names {name!r} outside the symbol list")
-        _require(isinstance(sets, list), f"bounds: jord_sets[{name!r}] must be a list of block lists")
-        rho = symbols[name]
-        rows = []
-        for blocks in sets:
-            _require(isinstance(blocks, list), f"bounds: jord_sets[{name!r}] must be a list of block lists")
-            for a in blocks:
-                _require(isinstance(a, int) and not isinstance(a, bool) and a >= 1,
-                         f"bounds: block {a!r} at {name!r} must be a positive integer")
-                _require(rho.matches_parity(a),
-                         f"bounds: block {a} has the wrong parity for {name!r}")
-            rows.append(sorted(blocks))
-        clean_sets[name] = rows
+        _require(isinstance(sets, list) and all(isinstance(b, list) for b in sets),
+                 f"bounds: jord_sets[{name!r}] must be a list of block lists")
+        try:
+            clean_sets[name] = _block_sets(symbols[name], None, None, sets)
+        except ValueError as exc:
+            raise ConfigError(f"bounds: jord_sets[{name!r}]: {exc}") from exc
     for name in names:
         _require(name in clean_sets or max_a is not None,
                  f"bounds: no max_a and no jord_sets entry for {name!r}")
@@ -193,7 +190,6 @@ def _load_expansions(raw, symbols, supports):
         where = f"expansions[{i}]"
         _require(isinstance(row, dict), f"{where}: rows are objects")
         node = _tower(row.get("object"), symbols, supports, where)
-        _require(node not in rows, f"{where}: duplicate object {node}")
         terms = {(GLTerm.unit(), node): 1}
         raw_terms = row.get("terms", [])
         _require(isinstance(raw_terms, list), f"{where}: terms must be a list")

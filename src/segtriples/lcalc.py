@@ -84,39 +84,36 @@ def intertwining_ratios(z: int, emb: EmbeddingDatum):
     return first, second
 
 
-def _check_block(z: int, emb: EmbeddingDatum, base_order: int):
+def _check_block(z: int, emb: EmbeddingDatum):
     if not isinstance(z, int) or isinstance(z, bool) or z < 1:
         raise ValueError("a Jordan block is a positive integer")
     if not emb.rho.matches_parity(z):
         raise ValueError(f"block {z} does not have the parity of {emb.rho.id}")
-    if base_order not in (0, 2):
-        raise ValueError("the base Plancherel order at the origin is 0 or 2")
-    if (base_order == 2) != (z in emb.base_jord):
-        raise ValueError("base_order inconsistent with base_jord membership")
 
 
-def plancherel_order_raw(z: int, emb: EmbeddingDatum, base_order: int) -> int:
+def plancherel_order_raw(z: int, emb: EmbeddingDatum) -> int:
     """Signed order, before clamping, of the Plancherel measure at the
-    origin: base order plus twice the order of each distinct ratio."""
-    _check_block(z, emb, base_order)
+    origin: the base order, 2 when z is in the base Jordan blocks and 0
+    otherwise, plus twice the order of each distinct ratio."""
+    _check_block(z, emb)
     first, second = intertwining_ratios(z, emb)
-    return base_order + 2 * (first.order_at_zero() + second.order_at_zero())
+    base = 2 if z in emb.base_jord else 0
+    return base + 2 * (first.order_at_zero() + second.order_at_zero())
 
 
-def plancherel_order(z: int, emb: EmbeddingDatum, base_order: int) -> int:
+def plancherel_order(z: int, emb: EmbeddingDatum) -> int:
     """Order of the Plancherel measure at the origin, clamped to {0, 2}.
 
-    The measure of a discrete series has order zero or two; the raw sum
-    can leave that window only through cancellations that the clamp
-    resolves.  Returns 2 exactly when z is a Jordan block after the
-    embedding.
+    The measure of a discrete series has order zero or two.  The raw
+    sum is even and can leave that window through stacked poles or a
+    zero that outweighs them; the clamp maps a raw order <= 0 to 0 and
+    one >= 2 to 2.  Returns 2 exactly when z is a Jordan block after
+    the embedding.
     """
-    raw = plancherel_order_raw(z, emb, base_order)
+    raw = plancherel_order_raw(z, emb)
     if raw >= 2:
         return 2
-    if raw <= 0:
-        return 0
-    return raw
+    return 0
 
 
 def jordan_set_from_pole_orders(emb: EmbeddingDatum, z_max: int) -> frozenset[int]:
@@ -126,8 +123,7 @@ def jordan_set_from_pole_orders(emb: EmbeddingDatum, z_max: int) -> frozenset[in
     for z in range(1, z_max + 1):
         if not emb.rho.matches_parity(z):
             continue
-        base_order = 2 if z in emb.base_jord else 0
-        if plancherel_order(z, emb, base_order) == 2:
+        if plancherel_order(z, emb) == 2:
             found.append(z)
     return frozenset(found)
 

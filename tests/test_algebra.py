@@ -111,6 +111,9 @@ def test_glterm_unit_handling():
     assert GLTerm.unit().is_unit
     with pytest.raises(ValueError):
         GLTerm((seg(1, 0),))  # the raw constructor keeps nothing hidden
+    for build in (lambda: GLTerm([1]), lambda: GLTerm.of(1)):
+        with pytest.raises(TypeError, match="^GLTerm holds Segment objects$"):
+            build()
 
 
 def test_glterm_product_and_degree():
@@ -166,8 +169,8 @@ def test_values_are_frozen():
 
 def test_sum_construction_rules():
     t = GLTerm.of(seg(0, 0))
-    assert FormalSum({t: 0}) == FormalSum.zero()
-    assert not FormalSum.zero()
+    assert FormalSum({t: 0}) == FormalSum()
+    assert not FormalSum()
     with pytest.raises(ValueError):
         FormalSum({t: -1})
     with pytest.raises(ValueError):
@@ -181,7 +184,7 @@ def test_sum_arithmetic():
     assert s.total == 3
     assert len(s) == 2
     assert (s * 3).coefficient(t1) == 6
-    assert s * 0 == FormalSum.zero()
+    assert s * 0 == FormalSum()
     with pytest.raises(ValueError):
         s * (-1)
 
@@ -201,6 +204,10 @@ def test_render_term():
     assert render_term(t) == "d([0,0],r)"
     assert render_term(t, 2) == "2 * d([0,0],r)"
     assert render_term((GLTerm.unit(), t)) == "1 (x) d([0,0],r)"
+    assert str(comult(Segment(r, -1, 1))) == (
+        "1 (x) d([-1,1],r) + d([-1,1],r) (x) 1 + d([0,1],r) (x) d([-1,-1],r)"
+        " + d([1,1],r) (x) d([-1,0],r)")
+    assert str(FormalSum()) == "0"
 
 
 # -- comultiplication ---------------------------------------------------------

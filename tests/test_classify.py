@@ -194,6 +194,8 @@ def test_parse_chain_rejects_malformed_records():
         parse_chain("steps= r:1:3:+", C0, SYMBOLS)
     with pytest.raises(ValueError):
         parse_chain("base={cusp=c0 ; jord= ; single= ; pair=", C0, SYMBOLS)
+    with pytest.raises(ValueError, match="missing steps section"):
+        parse_chain("base={cusp=c0 ; jord= ; single= ; pair=}", C0, SYMBOLS)
     with pytest.raises(ValueError):
         parse_chain("base={cusp=c0 ; jord= ; single= ; pair=} ; "
                     "steps= zz:1:3:+", C0, SYMBOLS)
@@ -212,6 +214,8 @@ def test_enumeration_over_the_empty_support():
         "cusp=c0 ; jord= r:1 r:3 ; single= r:1:+ r:3:+ ; pair= r:1:3:+",
         "cusp=c0 ; jord= r:1 r:3 ; single= r:1:- r:3:- ; pair= r:1:3:+",
     ]
+    # the symbol list is a set: a repeated symbol counts once
+    assert enumerate_admissible(C0, [r, r], max_a=5) == enumerate_admissible(C0, [r], max_a=5)
 
 
 def test_enumeration_with_cuspidal_blocks():

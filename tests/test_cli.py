@@ -4,6 +4,7 @@ Every fixture command is pinned to a golden file; the suite also checks
 exit codes and byte determinism across repeated runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,12 @@ DAG_EVEN = str(HERE / "fixtures" / "dag_even.json")
 ENUM_C1 = str(HERE / "fixtures" / "enum_c1.json")
 MAXA0 = str(HERE / "fixtures" / "maxa0.json")
 MU_FIXTURE = str(HERE / "fixtures" / "mu_fixture.json")
+# the jord_sets entry at q repeats the block 2
+DUP_BLOCK = {
+    "symbols": [{"id": "q", "rank": 2, "parity": "even"}],
+    "supports": [{"id": "c0"}],
+    "bounds": {"support": "c0", "symbols": ["q"], "jord_sets": {"q": [[], [2, 2]]}},
+}
 
 GOLDEN_RUNS = [
     ("mu_rho.txt", 0,
@@ -105,9 +112,23 @@ def test_triple_text_source_matches_named_source(command, name, text, head):
     (["enumerate", "--config", MU_FIXTURE], "bounds section"),
     (["check", "--config", BASE, "--text", "cusp=nope ; jord= ; single= ; pair="],
      "unknown support"),
+    (["enumerate", "--config", str(HERE / "fixtures" / "absent.json")],
+     "cannot read config"),
+    (["enumerate", "--config", __file__], "not valid JSON"),
+    (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--rho", "zz"],
+     "unknown symbol"),
+    (["enumerate", "--config", DUP_BLOCK],
+     "error: bounds: jord_sets['q']: duplicate block"),
+    (["dominance-dag", "--config", DUP_BLOCK],
+     "error: bounds: jord_sets['q']: duplicate block"),
 ])
-def test_usage_errors_exit_2(argv, fragment):
-    code, out, err = run_cli(argv)
+def test_usage_errors_exit_2(argv, fragment, tmp_path):
+    # a dict in argv stands for a config file holding it as JSON
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    code, out, err = run_cli([str(config) if isinstance(a, dict) else a for a in argv])
     assert code == 2
     assert fragment in err
     assert out == ""

@@ -54,11 +54,17 @@ def test_symbol_validation(tmp_path):
     data = {"symbols": [{"id": "r"}, {"id": "r"}], "supports": []}
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, data))
+    data = {"symbols": [{"id": "r", "rank": 0, "parity": "odd"}], "supports": []}
+    with pytest.raises(ConfigError, match="^symbols: 'r': rank must be a positive integer"):
+        load_config(write(tmp_path, data))
 
 
 def test_support_references_known_symbols(tmp_path):
     data = dict(MINIMAL, supports=[{"id": "c0", "jord": {"zz": [1]}}])
     with pytest.raises(ConfigError):
+        load_config(write(tmp_path, data))
+    data = dict(MINIMAL, supports=[{"id": "x", "jord": {"r": [2]}}])
+    with pytest.raises(ConfigError, match="^supports: 'x': "):
         load_config(write(tmp_path, data))
 
 
@@ -69,6 +75,14 @@ def test_bounds_need_a_window(tmp_path):
     data = dict(MINIMAL, bounds={"support": "c0", "symbols": ["r"], "max_a": 3})
     cfg = load_config(write(tmp_path, data))
     assert cfg.bounds["max_a"] == HalfInt(3)
+    for bounds, fragment in (
+            ({"max_a": 3, "max_jord": -1}, "^bounds: max_jord must be"),
+            ({"max_a": 3, "symbols": ["r", "r"]}, "^bounds: duplicate symbol"),
+            ({"jord_sets": {"r": [[1, 1]]}}, r"^bounds: jord_sets\['r'\]: duplicate block"),
+            ({"jord_sets": {"r": [[2]]}}, r"^bounds: jord_sets\['r'\]: block 2 is not")):
+        data = dict(MINIMAL, bounds={"support": "c0", "symbols": ["r"], **bounds})
+        with pytest.raises(ConfigError, match=fragment):
+            load_config(write(tmp_path, data))
 
 
 def test_triples_parse_but_are_not_semantically_checked(tmp_path):
@@ -96,6 +110,10 @@ def test_expansion_rows_must_target_stacked_objects(tmp_path):
         "terms": [],
     }])
     with pytest.raises(ConfigError):
+        load_config(write(tmp_path, data))
+    row = {"object": {"segments": ["r:[0,0]"], "base": "c0"}, "terms": []}
+    data = dict(MINIMAL, expansions=[row, row])
+    with pytest.raises(ConfigError, match=r"^expansions\[1\]: an expansion for .* is already registered"):
         load_config(write(tmp_path, data))
 
 

@@ -54,40 +54,36 @@ def test_ratio_shifts():
 def test_order_pole_from_top_exponent():
     # x = (z-1)/2 at z = 5 contributes a double pole; clamped to 2
     emb = EmbeddingDatum(r, 2, 1, {1})
-    assert plancherel_order_raw(5, emb, 0) == 2
-    assert plancherel_order(5, emb, 0) == 2
+    assert plancherel_order_raw(5, emb) == 2
+    assert plancherel_order(5, emb) == 2
 
 
 def test_order_zero_kills_base_pole():
     # y = (z-1)/2 + 1 at z = 1 turns the base order 2 into 0
     emb = EmbeddingDatum(r, 2, 1, {1})
-    assert plancherel_order_raw(1, emb, 2) == 0
-    assert plancherel_order(1, emb, 2) == 0
+    assert plancherel_order_raw(1, emb) == 0
+    assert plancherel_order(1, emb) == 0
 
 
 def test_order_pole_from_bottom_exponent():
     # y = -(z-1)/2 at z = 3
     emb = EmbeddingDatum(r, 2, -1)
-    assert plancherel_order(3, emb, 0) == 2
+    assert plancherel_order(3, emb) == 2
 
 
 def test_order_clamps_stacked_poles():
     # x = (z-1)/2 and y = -(z-1)/2 fire together at z = 3
     emb = EmbeddingDatum(r, 1, -1)
-    assert plancherel_order_raw(3, emb, 0) == 4
-    assert plancherel_order(3, emb, 0) == 2
+    assert plancherel_order_raw(3, emb) == 4
+    assert plancherel_order(3, emb) == 2
 
 
 def test_order_checks_its_inputs():
     emb = EmbeddingDatum(r, 2, 1, {1})
     with pytest.raises(ValueError):
-        plancherel_order(2, emb, 0)  # wrong parity
+        plancherel_order(2, emb)  # wrong parity
     with pytest.raises(ValueError):
-        plancherel_order(5, emb, 1)  # base order must be 0 or 2
-    with pytest.raises(ValueError):
-        plancherel_order(1, emb, 0)  # 1 is in base_jord, so base order is 2
-    with pytest.raises(ValueError):
-        plancherel_order(0, emb, 0)
+        plancherel_order(0, emb)
 
 
 def test_update_consumes_and_grows():
