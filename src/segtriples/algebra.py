@@ -60,6 +60,18 @@ class CuspidalSymbol:
         """True when the integer a has this symbol's block parity."""
         return (a % 2 == 0) == (self.parity == EVEN)
 
+    def block_error(self, a) -> str | None:
+        """Why a is not a Jordan block at this symbol, or None."""
+        if not isinstance(a, int) or isinstance(a, bool):
+            return f"block {a!r} is not an integer"
+        if a < 1 or not self.matches_parity(a):
+            return f"block {a} is not a positive integer of {self.parity} parity at {self.id}"
+        return None
+
+    def blocks_upto(self, n: int) -> range:
+        """The Jordan blocks at this symbol that are at most n, ascending."""
+        return range(2 if self.parity == EVEN else 1, n + 1, 2)
+
     def __eq__(self, other):
         if not isinstance(other, CuspidalSymbol):
             return NotImplemented

@@ -27,9 +27,10 @@ from .triples import (
     NotAdmissibleError,
     _alternation,
     _extend,
-    _integer,
+    _pair_error,
     _parse_sign,
     _peel,
+    _sign,
     _sign_char,
     is_admissible,
     linking_sign,
@@ -80,23 +81,19 @@ def chain_violations(chain: ReductionChain) -> list:
         problems.extend(f"base: {p}" for p in base_problems)
     elif _alternation(chain.base) is None:
         problems.append("base triple is not of alternated type")
+    by_rho = {}
     for i, step in enumerate(chain.steps):
         tag = f"step {i}"
         if not isinstance(step.rho, CuspidalSymbol):
             problems.append(f"{tag}: not a cuspidal symbol")
             continue
-        if step.sign not in (PLUS, MINUS):
-            problems.append(f"{tag}: sign {step.sign} is not +1/-1")
-        if not (all(isinstance(a, int) and not isinstance(a, bool) for a in (step.lower, step.upper))
-                and 1 <= step.lower < step.upper):
-            problems.append(f"{tag}: need integers 1 <= lower < upper")
-        for a in (step.lower, step.upper):
-            if not step.rho.matches_parity(a):
-                problems.append(f"{tag}: block {a} has the wrong parity for {step.rho.id}")
-    by_rho = {}
-    for step in chain.steps:
-        if isinstance(step.rho, CuspidalSymbol):
-            by_rho.setdefault(step.rho, []).append(step)
+        try:
+            _sign(step.sign)
+        except ValueError as exc:
+            problems.append(f"{tag}: {exc}")
+        if problem := _pair_error(step.rho, step.lower, step.upper):
+            problems.append(f"{tag}: {problem}")
+        by_rho.setdefault(step.rho, []).append(step)
     for rho, steps in sorted(by_rho.items(), key=lambda kv: kv[0].id):
         for prev, cur in zip(steps, steps[1:]):
             if rho.parity == EVEN:
@@ -156,27 +153,39 @@ def _sign_assignments(cusp, rho, blocks):
         yield JordanTriple._of_rows(cusp, {rho: row} if blocks else {})
 
 
-def _block_sets(rho, max_a, max_jord, explicit):
-    if explicit is not None:
-        sets = []
-        for blocks in explicit:
-            blocks = tuple(sorted(_integer(a, "block") for a in blocks))
-            for a in blocks:
-                if a < 1 or not rho.matches_parity(a):
-                    raise ValueError(f"block {a} is not a positive {rho.parity} block at {rho.id}")
-            if len(set(blocks)) != len(blocks):
-                raise ValueError(f"duplicate block in explicit set {blocks} at {rho.id}")
-            sets.append(blocks)
-        return sets
-    if max_a is None:
-        raise ValueError(f"no block bound given for {rho.id}")
-    pool = [a for a in range(1, max_a + 1) if rho.matches_parity(a)]
-    sets = []
-    for r in range(len(pool) + 1):
-        if max_jord is not None and r > max_jord:
-            break
-        sets.extend(itertools.combinations(pool, r))
-    return sets
+def _window(symbols, max_a, max_jord, jord_sets) -> dict:
+    """Each symbol's candidate block sets, in id order: the sets that
+    ``jord_sets`` lists for it, sorted, or else, lazily, every set of
+    at most ``max_jord`` blocks from ``rho.blocks_upto(max_a)``."""
+    for name, bound in (("max_a", max_a), ("max_jord", max_jord)):
+        if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
+            raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
+    jord_sets = jord_sets or {}
+    ids = {rho.id: rho for rho in sorted(set(symbols), key=lambda s: s.id)}
+    if stray := [name for name in jord_sets if name not in ids]:
+        raise ValueError(f"jord_sets names {stray[0]!r} outside the symbol list")
+    window = {}
+    for name, rho in ids.items():
+        if name in jord_sets:
+            window[rho] = [_block_set(rho, blocks, f"jord_sets[{name!r}]") for blocks in jord_sets[name]]
+        elif max_a is None:
+            raise ValueError(f"no max_a and no jord_sets entry for {name!r}")
+        else:
+            pool = rho.blocks_upto(max_a)
+            top = len(pool) if max_jord is None else min(max_jord, len(pool))
+            window[rho] = itertools.chain.from_iterable(
+                map(itertools.combinations, itertools.repeat(pool), range(top + 1)))
+    return window
+
+
+def _block_set(rho, blocks, where) -> tuple:
+    for a in blocks:
+        if problem := rho.block_error(a):
+            raise ValueError(f"{where}: {problem}")
+    blocks = tuple(sorted(blocks))
+    if len(set(blocks)) != len(blocks):
+        raise ValueError(f"{where}: duplicate block in explicit set {blocks} at {rho.id}")
+    return blocks
 
 
 def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
@@ -185,23 +194,26 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
 
     The symbols are taken as a set: a repeated symbol counts once.  Per
     symbol the candidate block sets are either listed explicitly in
-    ``jord_sets`` (keyed by symbol id) or are all parity-correct
-    subsets of [1, max_a], capped at ``max_jord`` blocks.  The result
-    is sorted by canonical text: the product of the candidates each
+    ``jord_sets`` (keyed by symbol id) or are all sets of Jordan blocks
+    at most ``max_a``, capped at ``max_jord`` blocks.  The result is
+    sorted by canonical text: the product of the candidates each
     symbol's canonical peel admits on its own, or nothing when the
-    support carries blocks at a symbol outside the list.
+    support carries blocks at a symbol outside the list.  Raises
+    ValueError when a bound is not a nonnegative integer, a
+    ``jord_sets`` key names no listed symbol, a listed set holds a
+    block that is not a Jordan block at its symbol or repeats one, or
+    a symbol has neither a ``max_a`` nor a ``jord_sets`` entry.
     """
-    symbols = sorted(set(symbols), key=lambda s: s.id)
-    jord_sets = jord_sets or {}
+    window = _window(symbols, max_a, max_jord, jord_sets)
+    if any(rho not in window for rho in cusp.symbols):
+        return []
     per_symbol = []
-    for rho in symbols:
+    for rho, sets in window.items():
         survivors = []
-        for blocks in _block_sets(rho, max_a, max_jord, jord_sets.get(rho.id)):
+        for blocks in sets:
             survivors += [t for t in _sign_assignments(cusp, rho, blocks)
                           if _peel(t, rho) is not None]
         per_symbol.append(survivors)
-    if any(cusp.jord_of(rho) and rho not in symbols for rho in cusp.symbols):
-        return []
     found = [JordanTriple._of_rows(cusp, {rho: row for t in combo for rho, row in t.rows.items()})
              for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)
@@ -210,9 +222,7 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
 
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
     """Admissible sign assignments on one exact block configuration."""
-    symbols = sorted(jord, key=lambda s: s.id)
-    jord_sets = {rho.id: [tuple(sorted(jord[rho]))] for rho in symbols}
-    return len(enumerate_admissible(cusp, symbols, jord_sets=jord_sets))
+    return len(enumerate_admissible(cusp, jord, jord_sets={rho.id: [jord[rho]] for rho in jord}))
 
 
 def dominance_edges(triples) -> list:

@@ -16,11 +16,11 @@ A config is one JSON file declaring the working pieces by name:
 
 Loading resolves every cross reference and fails with ConfigError on
 the first structural problem.  The loader checks JSON shape and cross
-references only; each value rule (rank, parity, blocks, duplicate
-fixture rows) is left to the library constructor that owns it, and its
-error is reported as ``<section>: <name>: ...``.  Triples are parsed
-but not validated here, so the check command can report semantic
-violations itself.
+references only; each value rule (rank, parity, blocks, the window
+bounds, duplicate fixture rows) is left to the library code that owns
+it, and its error is reported as ``<section>: <name>: ...``, or as
+``bounds: ...`` for the window.  Triples are parsed but not validated
+here, so the check command can report semantic violations itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import re
 from pathlib import Path
 
 from .algebra import CuspidalSymbol, FormalSum, GLTerm, Segment
-from .classify import _block_sets
+from .classify import _window
 from .halfint import HalfInt
 from .structural import ExpansionTable, GSpinTerm, induce
 from .triples import CuspidalSupport, _parse_triple_record
@@ -131,34 +131,22 @@ def _load_bounds(raw, symbols, supports):
     for name in names:
         _require(name in symbols, f"bounds: unknown symbol {name!r}")
     _require(len(set(names)) == len(names), "bounds: duplicate symbol")
-    max_a = raw.get("max_a")
-    if max_a is not None:
-        _require(isinstance(max_a, int) and not isinstance(max_a, bool) and max_a >= 0,
-                 "bounds: max_a must be a nonnegative integer")
-    max_jord = raw.get("max_jord")
-    if max_jord is not None:
-        _require(isinstance(max_jord, int) and not isinstance(max_jord, bool) and max_jord >= 0,
-                 "bounds: max_jord must be a nonnegative integer")
     jord_sets = raw.get("jord_sets") or {}
     _require(isinstance(jord_sets, dict), "bounds: jord_sets must be an object")
-    clean_sets = {}
     for name, sets in jord_sets.items():
-        _require(name in names, f"bounds: jord_sets names {name!r} outside the symbol list")
         _require(isinstance(sets, list) and all(isinstance(b, list) for b in sets),
                  f"bounds: jord_sets[{name!r}] must be a list of block lists")
-        try:
-            clean_sets[name] = _block_sets(symbols[name], None, None, sets)
-        except ValueError as exc:
-            raise ConfigError(f"bounds: jord_sets[{name!r}]: {exc}") from exc
-    for name in names:
-        _require(name in clean_sets or max_a is not None,
-                 f"bounds: no max_a and no jord_sets entry for {name!r}")
+    max_a, max_jord = raw.get("max_a"), raw.get("max_jord")
+    try:
+        _window([symbols[n] for n in names], max_a, max_jord, jord_sets)
+    except ValueError as exc:
+        raise ConfigError(f"bounds: {exc}") from exc
     return {
         "support": support,
         "symbols": list(names),
         "max_a": max_a,
         "max_jord": max_jord,
-        "jord_sets": clean_sets,
+        "jord_sets": jord_sets,
     }
 
 

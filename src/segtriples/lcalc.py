@@ -60,16 +60,14 @@ class EmbeddingDatum:
             raise ValueError(f"x - y must be a nonnegative integer, got x={x}, y={y}")
         if not rho.matches_parity(x.twice + 1):
             raise ValueError(f"2x+1 = {x.twice + 1} does not have the block parity of {rho.id}")
-        blocks = frozenset(base_jord)
+        blocks = tuple(base_jord)
         for z in blocks:
-            if not isinstance(z, int) or isinstance(z, bool) or z < 1:
-                raise ValueError("base Jordan blocks must be positive integers")
-            if not rho.matches_parity(z):
-                raise ValueError(f"base block {z} does not have the parity of {rho.id}")
+            if problem := rho.block_error(z):
+                raise ValueError(f"base {problem}")
         self.rho = rho
         self.x = x
         self.y = y
-        self.base_jord = blocks
+        self.base_jord = frozenset(blocks)
 
     def __repr__(self):
         return f"EmbeddingDatum({self.rho.id}, x={self.x}, y={self.y}, base_jord={sorted(self.base_jord)})"
@@ -84,18 +82,12 @@ def intertwining_ratios(z: int, emb: EmbeddingDatum):
     return first, second
 
 
-def _check_block(z: int, emb: EmbeddingDatum):
-    if not isinstance(z, int) or isinstance(z, bool) or z < 1:
-        raise ValueError("a Jordan block is a positive integer")
-    if not emb.rho.matches_parity(z):
-        raise ValueError(f"block {z} does not have the parity of {emb.rho.id}")
-
-
 def plancherel_order_raw(z: int, emb: EmbeddingDatum) -> int:
     """Signed order, before clamping, of the Plancherel measure at the
     origin: the base order, 2 when z is in the base Jordan blocks and 0
     otherwise, plus twice the order of each distinct ratio."""
-    _check_block(z, emb)
+    if problem := emb.rho.block_error(z):
+        raise ValueError(problem)
     first, second = intertwining_ratios(z, emb)
     base = 2 if z in emb.base_jord else 0
     return base + 2 * (first.order_at_zero() + second.order_at_zero())
@@ -117,15 +109,9 @@ def plancherel_order(z: int, emb: EmbeddingDatum) -> int:
 
 
 def jordan_set_from_pole_orders(emb: EmbeddingDatum, z_max: int) -> frozenset[int]:
-    """Analytic route: collect the blocks z <= z_max of the correct
-    parity whose Plancherel order comes out 2."""
-    found = []
-    for z in range(1, z_max + 1):
-        if not emb.rho.matches_parity(z):
-            continue
-        if plancherel_order(z, emb) == 2:
-            found.append(z)
-    return frozenset(found)
+    """Analytic route: the Jordan blocks z <= z_max at emb.rho, taken
+    from ``rho.blocks_upto``, whose Plancherel order comes out 2."""
+    return frozenset(z for z in emb.rho.blocks_upto(z_max) if plancherel_order(z, emb) == 2)
 
 
 def jord_update(emb: EmbeddingDatum) -> frozenset[int]:

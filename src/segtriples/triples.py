@@ -53,7 +53,8 @@ class GapError(ValueError):
 
 
 class CuspidalSupport:
-    """A named cuspidal base object with its Jordan blocks per symbol."""
+    """A named cuspidal base object with its Jordan blocks per symbol;
+    a symbol given no blocks is dropped, so each support has one form."""
 
     __slots__ = ("id", "_jord")
 
@@ -64,13 +65,12 @@ class CuspidalSupport:
         for rho, blocks in (jord or {}).items():
             if not isinstance(rho, CuspidalSymbol):
                 raise TypeError("support keys must be CuspidalSymbol objects")
-            blocks = frozenset(blocks)
+            blocks = tuple(blocks)
             for a in blocks:
-                if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                    raise ValueError("cuspidal Jordan blocks are positive integers")
-                if not rho.matches_parity(a):
-                    raise ValueError(f"cuspidal block {a} has the wrong parity for {rho.id}")
-            rows.append((rho, blocks))
+                if problem := rho.block_error(a):
+                    raise ValueError(f"cuspidal {problem}")
+            if blocks:
+                rows.append((rho, frozenset(blocks)))
         rows.sort(key=lambda kv: kv[0].id)
         self.id = id
         self._jord = tuple(rows)
@@ -112,8 +112,8 @@ class JordanTriple:
     Where singles are defined, pair signs are derived by the product
     rule (``pair``, ``pairs``) and not stored; a pair given there is
     kept only for ``validate_triple`` to report.  The constructor
-    rejects non-integer blocks and signs and canonicalizes, but does
-    not validate; ``require_valid`` is the gate.
+    rejects non-integer blocks, and signs other than +1 and -1, and
+    canonicalizes, but does not validate; ``require_valid`` is the gate.
     """
 
     __slots__ = ("cusp", "rows")
@@ -125,10 +125,10 @@ class JordanTriple:
         for rho, a in jord:
             given.setdefault(rho, (set(), {}, {}))[0].add(_integer(a, "block"))
         for (rho, a), v in (singles or {}).items():
-            given.setdefault(rho, (set(), {}, {}))[1][_integer(a, "block")] = _integer(v, "sign")
+            given.setdefault(rho, (set(), {}, {}))[1][_integer(a, "block")] = _sign(v)
         for (rho, lo, hi), v in (pairs or {}).items():
             key = (_integer(lo, "block"), _integer(hi, "block"))
-            given.setdefault(rho, (set(), {}, {}))[2][key] = _integer(v, "sign")
+            given.setdefault(rho, (set(), {}, {}))[2][key] = _sign(v)
         self.cusp = cusp
         self.rows = {}
         for rho in sorted(given, key=lambda s: s.id):
@@ -211,6 +211,20 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _sign(v) -> int:
+    """v when it is a sign, +1 or -1; else ValueError."""
+    if _integer(v, "sign") not in (PLUS, MINUS):
+        raise ValueError(f"sign {v} is not +1/-1")
+    return v
+
+
+def _pair_error(rho, lower, upper) -> str | None:
+    """Why (lower, upper) is not a pair of Jordan blocks at rho, lower < upper, or None."""
+    if problem := rho.block_error(lower) or rho.block_error(upper):
+        return problem
+    return None if lower < upper else f"need lower < upper, got {lower} and {upper}"
+
+
 def _pair_signs(cusp, rho, row) -> dict:
     """Every pair sign of the row at rho by (lower, upper): the stored
     ones and, where singles are defined, the product rule on each
@@ -234,17 +248,16 @@ def _replace_row(t: JordanTriple, rho, blocks, singles, pairs) -> JordanTriple:
 
 
 def validate_triple(t: JordanTriple) -> list:
-    """All invariant violations, as human-readable strings: grouped by
-    kind, each kind in symbol and block order."""
+    """All invariant violations, as human-readable strings, grouped by
+    kind and each kind in symbol and block order: blocks that are not
+    Jordan blocks, signs off or missing from their domain, and stored
+    pairs that break the product rule (signs are +1 or -1 when built)."""
     found = []
     for rho, (blocks, singles, pairs) in t.rows.items():
         derive = singles_defined(t.cusp, rho)
         adjacent = tuple(zip(blocks, blocks[1:]))
         signs = _pair_signs(t.cusp, rho, (blocks, singles, pairs))
-        # blocks are sorted, so the nonpositive ones come first
-        found += [(0, f"block {a} at {rho.id} is not positive") for a in blocks if a < 1]
-        found += [(0, f"block {a} has the wrong parity for {rho.id}")
-                  for a in blocks if a >= 1 and not rho.matches_parity(a)]
+        found += [(0, problem) for a in blocks if (problem := rho.block_error(a))]
         found += [(1, f"single sign on {rho.id}:{a} is not in the domain")
                   for a in sorted(singles) if not derive or a not in blocks]
         found += [(2, f"missing single sign on {rho.id}:{a}")
@@ -253,11 +266,7 @@ def validate_triple(t: JordanTriple) -> list:
                   for lo, hi in sorted(pairs) if (lo, hi) not in adjacent]
         found += [(4, f"missing pair sign on {rho.id}:{lo}-{hi}")
                   for lo, hi in adjacent if (lo, hi) not in signs]
-        found += [(5, f"single sign {v} on {rho.id}:{a} is not +1/-1")
-                  for a, v in sorted(singles.items()) if v not in (PLUS, MINUS)]
-        found += [(6, f"pair sign {v} on {rho.id}:{lo}-{hi} is not +1/-1")
-                  for (lo, hi), v in sorted(signs.items()) if v not in (PLUS, MINUS)]
-        found += [(7, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
+        found += [(5, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
                   for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
                   and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
     found.sort(key=lambda kv: kv[0])
@@ -332,8 +341,7 @@ def cuspidal_target(t: JordanTriple, rho) -> frozenset:
 
 def _universe(t: JordanTriple) -> list:
     """The symbols carrying blocks in t or in its cuspidal support, by id."""
-    held = {sym for sym in t.cusp.symbols if t.cusp.jord_of(sym)}
-    return sorted(held.union(t.symbols), key=lambda s: s.id)
+    return sorted(set(t.cusp.symbols).union(t.symbols), key=lambda s: s.id)
 
 
 def is_alternated(t: JordanTriple):
@@ -478,13 +486,8 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     """
     if is_admissible(t) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
-    if _integer(lower, "block") >= _integer(upper, "block"):
-        raise ValueError("need integer blocks with lower < upper")
-    if lower < 1:
-        raise ValueError("blocks are positive integers")
-    for a in (lower, upper):
-        if not rho.matches_parity(a):
-            raise ValueError(f"block {a} has the wrong parity for {rho.id}")
+    if problem := _pair_error(rho, lower, upper):
+        raise ValueError(problem)
     return [_extend(t, rho, lower, upper, PLUS),
             _extend(t, rho, lower, upper, MINUS)]
 

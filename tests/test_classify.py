@@ -118,13 +118,13 @@ def test_chain_violations_flag_bad_steps():
     probs = chain_violations(ReductionChain(base, (ChainStep(r, 2, 4, PLUS),)))
     assert any("parity" in p for p in probs)
     probs = chain_violations(ReductionChain(base, (ChainStep(r, 1.0, 3, PLUS),)))
-    assert any("integers" in p for p in probs)
+    assert any("block 1.0 is not an integer" in p for p in probs)
 
 
 def test_chain_violations_reject_bool_endpoints():
     # realize_chain inserts endpoints as given, so True would print as a block
     probs = chain_violations(ReductionChain(JordanTriple(C0), (ChainStep(r, True, 3, PLUS),)))
-    assert any("integers" in p for p in probs)
+    assert any("block True is not an integer" in p for p in probs)
 
 
 def test_chain_ordering_invariants():
@@ -242,6 +242,14 @@ def test_enumeration_with_explicit_block_sets():
         enumerate_admissible(C0, [q], jord_sets={"q": [[3]]})
     with pytest.raises(ValueError):
         enumerate_admissible(C0, [q])  # no bound at all
+    # the window itself: a key naming no listed symbol, and bounds that
+    # are not nonnegative integers
+    for window, fragment in (({"max_a": 3, "jord_sets": {"rr": [[1]]}},
+                              "^jord_sets names 'rr' outside the symbol list$"),
+                             ({"max_a": 3, "max_jord": -1}, "^max_jord must be a nonnegative integer"),
+                             ({"max_a": 3.5}, "^max_a must be a nonnegative integer")):
+        with pytest.raises(ValueError, match=fragment):
+            enumerate_admissible(C0, [r], **window)
     for rho, bad in ((r, [[1, 3.7]]), (r, [[True, 3]]), (q, [[0, 2]])):
         with pytest.raises(ValueError):
             enumerate_admissible(C0, [rho], jord_sets={rho.id: bad})

@@ -77,6 +77,10 @@ def test_bounds_need_a_window(tmp_path):
     assert cfg.bounds["max_a"] == HalfInt(3)
     for bounds, fragment in (
             ({"max_a": 3, "max_jord": -1}, "^bounds: max_jord must be"),
+            ({"max_a": 3.5}, "^bounds: max_a must be a nonnegative integer"),
+            ({"max_a": 3, "jord_sets": {"rr": [[1]]}},
+             "^bounds: jord_sets names 'rr' outside the symbol list$"),
+            ({}, "^bounds: no max_a and no jord_sets entry for 'r'$"),
             ({"max_a": 3, "symbols": ["r", "r"]}, "^bounds: duplicate symbol"),
             ({"jord_sets": {"r": [[1, 1]]}}, r"^bounds: jord_sets\['r'\]: duplicate block"),
             ({"jord_sets": {"r": [[2]]}}, r"^bounds: jord_sets\['r'\]: block 2 is not")):

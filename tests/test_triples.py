@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segtriples import (
     EVEN,
@@ -60,6 +61,16 @@ def test_support_equality_is_content_based():
     assert CuspidalSupport("c17", {r: {1, 3}}) != C17
 
 
+def test_support_drops_empty_block_sets():
+    bare = CuspidalSupport("c", {r: [], q: set()})
+    assert bare == CuspidalSupport("c", {}) and hash(bare) == hash(CuspidalSupport("c"))
+    assert bare.symbols == ()
+    assert CuspidalSupport("c17", {r: {1, 7}, q: []}) == C17
+    # triples over either form of the support with one text are one triple
+    text = "cusp=c ; jord= r:1 ; single= r:1:+ ; pair="
+    assert parse_triple(text, bare, SYMBOLS) == parse_triple(text, CuspidalSupport("c"), SYMBOLS)
+
+
 def test_singles_defined_rule():
     # even symbols always carry singles; odd ones only over a support
     # whose cuspidal blocks at the symbol vanish
@@ -118,6 +129,14 @@ def test_rows_store_pair_signs_only_where_singles_are_undefined():
 def test_constructor_rejects_non_integer_blocks_and_signs(jord, singles, pairs):
     with pytest.raises(ValueError, match="not an integer"):
         JordanTriple(C1, jord, singles, pairs)
+
+
+@pytest.mark.parametrize("v", [0, 5, -2])
+def test_constructor_rejects_signs_other_than_plus_minus_one(v):
+    with pytest.raises(ValueError, match=rf"^sign {v} is not \+1/-1$"):
+        JordanTriple(C0, [(r, 1)], {(r, 1): v})
+    with pytest.raises(ValueError, match=rf"^sign {v} is not \+1/-1$"):
+        JordanTriple(C17, [(r, 1), (r, 3)], None, {(r, 1, 3): v})
 
 
 def test_validate_empty_triple():
@@ -392,6 +411,22 @@ def test_triple_text_round_trip():
                     {(r, 1, 3): MINUS})
     again = parse_triple(triple_text(t), C17, SYMBOLS)
     assert again == t
+
+
+_SYMBOL = st.sampled_from([r, q])
+_BLOCK = st.integers(-1, 8)
+_SIGN = st.sampled_from([PLUS, MINUS])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cusp=st.sampled_from([C0, C17]),
+       jord=st.lists(st.tuples(_SYMBOL, _BLOCK), max_size=6),
+       singles=st.dictionaries(st.tuples(_SYMBOL, _BLOCK), _SIGN, max_size=4),
+       pairs=st.dictionaries(st.tuples(_SYMBOL, _BLOCK, _BLOCK), _SIGN, max_size=4))
+def test_triple_text_inverts_for_every_constructible_triple(cusp, jord, singles, pairs):
+    # valid or not: parity, domain and product-rule violations all survive
+    t = JordanTriple(cusp, jord, singles, pairs)
+    assert parse_triple(triple_text(t), cusp, SYMBOLS) == t
 
 
 def test_parse_triple_rejects_malformed_records():
