@@ -25,15 +25,16 @@ from .triples import (
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
+    _EMPTY,
     _alternation,
     _extend,
+    _keep,
     _pair_error,
     _parse_sign,
     _peel,
     _sign,
     _sign_char,
-    is_admissible,
-    linking_sign,
+    _universe,
     parse_triple,
     singles_defined,
     subordinate_reductions,
@@ -93,7 +94,8 @@ def chain_violations(chain: ReductionChain) -> list:
             problems.append(f"{tag}: {exc}")
         if problem := _pair_error(step.rho, step.lower, step.upper):
             problems.append(f"{tag}: {problem}")
-        by_rho.setdefault(step.rho, []).append(step)
+        else:
+            by_rho.setdefault(step.rho, []).append(step)
     for rho, steps in sorted(by_rho.items(), key=lambda kv: kv[0].id):
         for prev, cur in zip(steps, steps[1:]):
             if rho.parity == EVEN:
@@ -110,18 +112,22 @@ def chain_violations(chain: ReductionChain) -> list:
 
 
 def canonical_chain(t: JordanTriple) -> ReductionChain:
-    """The canonical chain of an admissible triple: the reductions of
-    ``is_admissible`` with each removed pair's free linking bit, base-up."""
-    reductions = is_admissible(t)
-    if reductions is None:
-        raise NotAdmissibleError("no chain reaches an alternated triple")
-    recorded = []
-    cur = t
-    for red in reductions:
-        recorded.append(ChainStep(red.rho, red.lower, red.upper,
-                                  linking_sign(cur, red.rho, red.lower, red.upper)))
-        cur = red.result
-    return ReductionChain(cur, tuple(reversed(recorded)))
+    """The canonical chain of an admissible triple, base-up: the pairs
+    ``is_admissible`` removes, each with its free linking bit, read off
+    each symbol's peel, over the survivors; only the base is built."""
+    t.require_valid()
+    recorded, base = [], t
+    for rho in _universe(t):
+        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
+        if peeled is None:
+            raise NotAdmissibleError("no chain reaches an alternated triple")
+        letters, removals, kept = peeled
+        for lo, hi, bit in removals:
+            if bit is None:
+                raise NotAdmissibleError("a pair with no sign data cannot be linked")
+            recorded.append(ChainStep(rho, lo, hi, bit))
+        base = _keep(base, rho, letters, kept)
+    return ReductionChain(base, tuple(reversed(recorded)))
 
 
 def realize_chain(chain: ReductionChain) -> JordanTriple:
@@ -143,14 +149,13 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 
 def _sign_assignments(cusp, rho, blocks):
-    """Every triple over cusp carrying exactly these sorted blocks, all
-    at rho: signs on the singles where defined, else on the pairs."""
+    """Every row at rho over cusp carrying exactly these sorted blocks:
+    signs on the singles where defined, else on the pairs."""
     derive = singles_defined(cusp, rho)
     keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
     for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
         signs = dict(zip(keys, bits))
-        row = (blocks, signs, {}) if derive else (blocks, {}, signs)
-        yield JordanTriple._of_rows(cusp, {rho: row} if blocks else {})
+        yield (blocks, signs, {}) if derive else (blocks, {}, signs)
 
 
 def _window(symbols, max_a, max_jord, jord_sets) -> dict:
@@ -209,12 +214,10 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
         return []
     per_symbol = []
     for rho, sets in window.items():
-        survivors = []
-        for blocks in sets:
-            survivors += [t for t in _sign_assignments(cusp, rho, blocks)
-                          if _peel(t, rho) is not None]
-        per_symbol.append(survivors)
-    found = [JordanTriple._of_rows(cusp, {rho: row for t in combo for rho, row in t.rows.items()})
+        per_symbol.append([{rho: row} if blocks else {} for blocks in sets
+                           for row in _sign_assignments(cusp, rho, blocks)
+                           if _peel(cusp, rho, row) is not None])
+    found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()})
              for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)
     return found
@@ -247,10 +250,18 @@ def dominance_edges(triples) -> list:
 def chain_text(chain: ReductionChain) -> str:
     """Canonical one-line serialization; parse_chain inverts it."""
     steps = " ".join(
-        f"{s.rho.id}:{s.lower}:{s.upper}:{_sign_char(s.sign)}"
+        f"{s.rho.id}:{s.lower}:{s.upper}:{_step_sign_text(s.sign)}"
         for s in chain.steps)
     tail = f"steps= {steps}" if steps else "steps="
     return f"base={{{triple_text(chain.base)}}} ; {tail}"
+
+
+def _step_sign_text(v) -> str:
+    """'+' or '-' for a sign, else repr(v), which parse_chain refuses."""
+    try:
+        return _sign_char(_sign(v))
+    except ValueError:
+        return repr(v)
 
 
 def parse_chain(text: str, cusp: CuspidalSupport, symbols) -> ReductionChain:

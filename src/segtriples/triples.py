@@ -20,14 +20,18 @@ A subordination step removes an adjacent pair carrying eps = +1 and
 rewires the signs: untouched pairs keep their values, the bridge pair
 created between the removed pair's outer neighbours takes the product
 of the two dropped crossing pairs, and surviving singles keep their
-values.  A triple is of alternated type when every pair carries -1 and,
-for every symbol carrying blocks here or in the cuspidal support, the
-block set matches the cuspidal target set in size (the increasing
-bijection is then the sorted matching).  Admissible means: some chain
-of subordination steps ends in an alternated triple.  Subordination at
-one symbol leaves the other symbols' data alone and alternation is a
-condition per symbol, so the canonical peel, run symbol by symbol,
-decides admissibility.
+values.  As a word of +1/-1 letters per row (the singles, else the
+prefix products of the pair signs from +1) every pair sign is the
+product of its two letters and the bridge that of the outer letters:
+a step deletes two equal adjacent letters, as in Z/2 * Z/2.  A triple
+is of alternated type when every pair carries -1 and, for every symbol
+carrying blocks here or in the cuspidal support, the block set matches
+the cuspidal target set in size (the increasing bijection is then the
+sorted matching).  Admissible means: some chain of subordination steps
+ends in an alternated triple.  Subordination at one symbol leaves the
+other symbols' data alone and alternation is a condition per symbol,
+so the canonical peel, the stack reduction of each row's word, decides
+admissibility.
 """
 
 from __future__ import annotations
@@ -356,49 +360,73 @@ def is_alternated(t: JordanTriple):
 
 
 def _alternation(t: JordanTriple):
-    """``is_alternated`` for a triple already known to be valid."""
-    if any(v != MINUS for rho, row in t.rows.items() for v in _pair_signs(t.cusp, rho, row).values()):
-        return None
+    """``is_alternated`` for a valid triple: no symbol's peel removes a pair or misses."""
     matchings = []
     for rho in _universe(t):
-        blocks = t.jord_of(rho)
-        target = cuspidal_target(t, rho)
-        if len(blocks) != len(target):
+        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
+        if peeled is None or peeled[1]:
             return None
-        matchings.append((rho, tuple(zip(blocks, sorted(target)))))
+        matchings.append((rho, tuple(zip(t.jord_of(rho), sorted(cuspidal_target(t, rho))))))
     return AlternatedWitness(tuple(matchings))
 
 
-def _peel(t: JordanTriple, rho):
-    """The canonical peel of a valid triple at rho: remove the +1 pair
-    with maximal upper endpoint (even rho) or minimal (odd rho) until
-    none is left.  The reductions made, or None when the surviving
-    blocks at rho do not match the cuspidal target in size."""
-    out = []
-    cur = t
-    while plus := sorted(k for k, v in _pair_signs(t.cusp, rho, cur.rows.get(rho, _EMPTY)).items()
-                         if v == PLUS):
-        lo, hi = plus[-1] if rho.parity == EVEN else plus[0]
-        out.append(Reduction(rho, lo, hi, reduce_at(cur, rho, lo, hi)))
-        cur = out[-1].result
-    if len(cur.jord_of(rho)) != len(cuspidal_target(cur, rho)):
-        return None
-    return out
+def _peel(cusp, rho, row):
+    """The canonical peel of a valid row at rho: remove the +1 pair with
+    maximal upper endpoint (even rho) or minimal lower endpoint (odd rho)
+    until none is left, by stack-reducing the sign word from the top
+    (even) or the bottom (odd).  ``(letters, removals, kept)``: each
+    block's letter, each removal's blocks with its ``linking_sign`` before
+    it (None if unlinked), the sorted survivors; None if they miss the target."""
+    blocks, letters, pairs = row
+    derive = singles_defined(cusp, rho)
+    if not derive:  # the prefix products of the pair signs, from +1
+        letters = dict.fromkeys(blocks[:1], PLUS)
+        for lo, hi in zip(blocks, blocks[1:]):
+            letters[hi] = letters[lo] * pairs[(lo, hi)]
+    even = rho.parity == EVEN
+    order = blocks[::-1] if even else blocks
+    stack, removals = [], []
+    for i, a in enumerate(order):
+        if not stack or letters[stack[-1]] != letters[a]:
+            stack.append(a)
+            continue
+        b = stack.pop()
+        # rows without singles are odd: the predecessor is on the stack, the successor unread
+        near = stack[-1] if stack else order[i + 1] if i + 1 < len(order) else None
+        bit = letters[a] if derive else None if near is None else letters[a] * letters[near]
+        removals.append((a, b, bit) if even else (b, a, bit))
+    kept = tuple(stack[::-1] if even else stack)
+    zero = even and kept and letters[kept[0]] == PLUS  # the target gains the block 0
+    return (letters, removals, kept) if len(kept) == len(cusp.jord_of(rho)) + bool(zero) else None
+
+
+def _keep(t: JordanTriple, rho, letters, kept) -> JordanTriple:
+    """t with the row at rho cut down to the blocks kept, signed by their letters."""
+    if singles_defined(t.cusp, rho):
+        return _replace_row(t, rho, kept, {a: letters[a] for a in kept}, {})
+    pairs = {(lo, hi): letters[lo] * letters[hi] for lo, hi in zip(kept, kept[1:])}
+    return _replace_row(t, rho, kept, {}, pairs)
 
 
 def is_admissible(t: JordanTriple):
     """The canonical chain of reductions from t to an alternated triple,
     or None: the canonical peel at each symbol carrying blocks in t or
-    in the support, in id order.  Compare the result against None: an
-    alternated triple is admissible with the EMPTY chain, which is falsy.
+    in the support, in id order, each result built from its survivors.
+    Compare the result against None: an alternated triple is admissible
+    with the EMPTY chain, which is falsy.
     """
     t.require_valid()
-    chain = []
+    chain, cur = [], t
     for rho in _universe(t):
-        peeled = _peel(chain[-1].result if chain else t, rho)
+        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
         if peeled is None:
             return None
-        chain.extend(peeled)
+        letters, removals, _ = peeled
+        kept = t.jord_of(rho)
+        for lo, hi, _ in removals:
+            kept = tuple(a for a in kept if a != lo and a != hi)
+            cur = _keep(cur, rho, letters, kept)
+            chain.append(Reduction(rho, lo, hi, cur))
     return tuple(chain)
 
 

@@ -5,29 +5,41 @@ symbol, and enumerates a window as the product of each symbol's
 survivors.  The reference here is the search it replaced: depth-first
 over every subordination step, and an enumerator that pushes the whole
 joint product of block sets and sign assignments through that search.
-The two must agree on every candidate of every window.
+The two must agree on every candidate of every window.  The chain
+that ``canonical_chain`` reads off each symbol's sign word must be the
+chain of ``is_admissible`` with ``linking_sign`` attached, the peel must
+follow its rule step by step on larger random triples, and per symbol
+the number of survivors is a binomial in the block count.
 """
 
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segtriples import (
     EVEN,
     MINUS,
     ODD,
     PLUS,
+    ChainStep,
     CuspidalSupport,
     CuspidalSymbol,
+    canonical_chain,
+    count_by_jord,
     enumerate_admissible,
     is_admissible,
     is_alternated,
+    linking_sign,
     make_triple,
     reduce_at,
     singles_defined,
     subordinate_reductions,
     triple_text,
 )
+from segtriples.triples import cuspidal_target
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -35,6 +47,8 @@ C0 = CuspidalSupport("c0")
 C1 = CuspidalSupport("c1", {r: {1}})
 C17 = CuspidalSupport("c17", {r: {1, 7}})
 BOTH = CuspidalSupport("cb", {r: {3}, q: {2}})
+R3Q24 = CuspidalSupport("c3", {r: {3}, q: {2, 4}})
+Q6 = CuspidalSupport("c6", {q: {6}})
 
 
 def reference_admissible(t, memo):
@@ -100,10 +114,16 @@ def test_peel_agrees_with_the_search(name):
         if chain is None:
             continue
         cur = t
+        steps = []
         for red in chain:
             assert red.result == reduce_at(cur, red.rho, red.lower, red.upper)
+            steps.append(ChainStep(red.rho, red.lower, red.upper,
+                                   linking_sign(cur, red.rho, red.lower, red.upper)))
             cur = red.result
         assert is_alternated(cur) is not None
+        canon = canonical_chain(t)
+        assert canon.steps == tuple(reversed(steps)), triple_text(t)
+        assert canon.base == cur
         admitted.append(t)
     admitted.sort(key=triple_text)
     assert enumerate_admissible(cusp, symbols, **bounds) == admitted
@@ -116,3 +136,72 @@ def test_support_blocks_outside_the_window_admit_nothing():
 
 def test_enumeration_count_at_max_a_11():
     assert len(enumerate_admissible(C0, [r, q], max_a=11)) == 13536
+
+
+@st.composite
+def valid_triples(draw):
+    """A valid triple with up to 12 blocks per symbol over one of four
+    support shapes: none, odd blocks only, both parities, even only.
+    Each row's sign word is random (one row in four), or grown from an
+    alternating word of the target's size (at an even symbol, possibly
+    one more) by inserting equal adjacent letters, so that many rows
+    peel down to their target."""
+    cusp = draw(st.sampled_from([C0, C17, R3Q24, Q6]))
+    sign = st.sampled_from((PLUS, MINUS))
+    jord, singles, pairs = [], {}, {}
+    for rho in (r, q):
+        if draw(st.integers(0, 3)) == 0:
+            word = [draw(sign) for _ in range(draw(st.integers(0, 12)))]
+        else:
+            first = draw(sign)
+            size = len(cusp.jord_of(rho)) + (rho.parity == EVEN and draw(st.integers(0, 1)))
+            word = [first * (-1) ** k for k in range(size)]
+            for _ in range(draw(st.integers(0, (12 - len(word)) // 2))):
+                at = draw(st.integers(0, len(word)))
+                word[at:at] = [draw(sign)] * 2
+        blocks = sorted(draw(st.lists(st.sampled_from(rho.blocks_upto(27)), unique=True,
+                                      min_size=len(word), max_size=len(word))))
+        jord += [(rho, a) for a in blocks]
+        if singles_defined(cusp, rho):
+            singles.update({(rho, a): v for a, v in zip(blocks, word)})
+        else:
+            pairs.update({(rho, lo, hi): v * w
+                          for lo, hi, v, w in zip(blocks, blocks[1:], word, word[1:])})
+    return make_triple(cusp, jord, singles, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_triples())
+def test_each_reduction_removes_the_extremal_plus_pair(t):
+    # the reference peel: at each symbol, reduce_at on the extremal +1 pair until none is left
+    chain = is_admissible(t)
+    cur, expected, misses = t, [], False
+    for rho in sorted(set(t.cusp.symbols) | set(t.symbols), key=lambda s: s.id):
+        while plus := [(lo, hi) for lo, hi in cur.adjacent_pairs(rho) if cur.pair(rho, lo, hi) == PLUS]:
+            lo, hi = plus[-1] if rho.parity == EVEN else plus[0]
+            cur = reduce_at(cur, rho, lo, hi)
+            expected.append((rho, lo, hi, cur))
+        misses = misses or len(cur.jord_of(rho)) != len(cuspidal_target(cur, rho))
+    assert (chain is None) == misses
+    if chain is not None:
+        assert [(red.rho, red.lower, red.upper, red.result) for red in chain] == expected
+
+
+def binomial_count(parity, n, t):
+    """Admissible sign assignments on n blocks at one symbol over t
+    cuspidal blocks there: the word of n signs must reduce to t letters,
+    or at an even symbol also to t + 1 when the lowest survivor is +1."""
+    if n < t or (parity != EVEN and (n - t) % 2):
+        return 0
+    return math.comb(n, (n - t) // 2)
+
+
+@pytest.mark.parametrize("rho, t", [(r, 0), (r, 1), (r, 2), (r, 3), (q, 0), (q, 1), (q, 2)])
+def test_count_by_jord_is_a_binomial(rho, t):
+    rnd = random.Random(f"{rho.id}{t}")
+    pool = rho.blocks_upto(31)
+    for n in range(13):
+        for _ in range(2):
+            cusp = CuspidalSupport("c", {rho: rnd.sample(pool, t)})
+            blocks = rnd.sample(pool, n)
+            assert count_by_jord(cusp, {rho: blocks}) == binomial_count(rho.parity, n, t), (cusp, blocks)

@@ -127,6 +127,14 @@ def test_chain_violations_reject_bool_endpoints():
     assert any("block True is not an integer" in p for p in probs)
 
 
+def test_chain_ordering_skips_steps_with_rejected_pairs():
+    # a step whose pair is rejected is reported, not compared with its neighbours
+    chain = ReductionChain(JordanTriple(C0), (ChainStep(r, 5, "x", PLUS), ChainStep(r, 1, 3, PLUS)))
+    assert chain_violations(chain) == ["step 0: block 'x' is not an integer"]
+    with pytest.raises(InvalidChainError, match="block 'x' is not an integer"):
+        realize_chain(chain)
+
+
 def test_chain_ordering_invariants():
     base = JordanTriple(C0)
     # odd symbols: upper endpoints must strictly decrease base-up
@@ -187,6 +195,16 @@ def test_chain_text_round_trip():
                     "steps= r:5:7:- r:1:3:+")
     assert parse_chain(text, C0, SYMBOLS) == chain
     assert str(chain) == text
+
+
+@pytest.mark.parametrize("sign", [0, 5, True])
+def test_chain_text_of_a_bad_step_sign_does_not_parse(sign):
+    # printed as '-' or '+', the step would read back as a different, valid chain
+    chain = ReductionChain(JordanTriple(C0), (ChainStep(r, 1, 3, sign),))
+    text = chain_text(chain)
+    assert text.endswith(f"steps= r:1:3:{sign!r}")
+    with pytest.raises(ValueError, match="not a sign"):
+        parse_chain(text, C0, SYMBOLS)
 
 
 def test_parse_chain_rejects_malformed_records():
