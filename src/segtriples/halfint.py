@@ -34,10 +34,9 @@ class HalfInt:
         elif isinstance(value, int):
             self.twice = 2 * value
         elif isinstance(value, float):
-            doubled = value * 2
-            if doubled != int(doubled):
+            if not (value * 2).is_integer():  # also refuses inf and nan
                 raise ValueError(f"{value!r} is not a multiple of 1/2")
-            self.twice = int(doubled)
+            self.twice = int(value * 2)
         else:
             raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
 

@@ -23,15 +23,18 @@ of the two dropped crossing pairs, and surviving singles keep their
 values.  As a word of +1/-1 letters per row (the singles, else the
 prefix products of the pair signs from +1) every pair sign is the
 product of its two letters and the bridge that of the outer letters:
-a step deletes two equal adjacent letters, as in Z/2 * Z/2.  A triple
-is of alternated type when every pair carries -1 and, for every symbol
-carrying blocks here or in the cuspidal support, the block set matches
-the cuspidal target set in size (the increasing bijection is then the
-sorted matching).  Admissible means: some chain of subordination steps
-ends in an alternated triple.  Subordination at one symbol leaves the
-other symbols' data alone and alternation is a condition per symbol,
-so the canonical peel, the stack reduction of each row's word, decides
-admissibility.
+a step deletes two equal adjacent letters, as in Z/2 * Z/2.  Lemma:
+in whatever order, such deletions end in one reduced word (each
+shortens the word, and two that overlap, in a run aaa, leave the same
+word).  A triple is of alternated type when every pair carries -1 and,
+for every symbol carrying blocks here or in the cuspidal support, the
+block set matches the cuspidal target set in size (the increasing
+bijection is then the sorted matching).  Admissible means: some chain
+of subordination steps ends in an alternated triple.  As steps at one
+symbol leave the other rows alone, the lemma gives: the canonical peel,
+the stack reduction of each row's word, decides admissibility; and t
+dominates u exactly when u is t cut down to some of its blocks and
+each run of blocks of t that u lacks reduces to the empty word.
 """
 
 from __future__ import annotations
@@ -288,32 +291,33 @@ class Reduction:
     result: JordanTriple
 
 
-def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
-    """Remove the adjacent pair (lower, upper) at rho and rewire signs."""
-    blocks, singles, pairs = t.rows.get(rho, _EMPTY)
+def _adjacent_word(t: JordanTriple, rho, lower: int, upper: int):
+    """The blocks and the word at rho of the valid t, where (lower, upper) is adjacent."""
+    t.require_valid()
+    blocks = t.jord_of(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
-    if t.pair(rho, lower, upper) != PLUS:
+    return blocks, _word(t.cusp, rho, t.rows[rho])
+
+
+def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
+    """Remove the adjacent pair (lower, upper) at rho, carrying +1, from the
+    valid t: two equal letters leave the word; the bridge is the crossings' product."""
+    blocks, letters = _adjacent_word(t, rho, lower, upper)
+    if letters[lower] != letters[upper]:
         raise ValueError("only pairs carrying +1 can be removed")
-    i = blocks.index(lower)
-    kept = blocks[:i] + blocks[i + 2:]
-    singles = {a: v for a, v in singles.items() if a != lower and a != upper}
-    rest = {k: v for k, v in pairs.items() if lower not in k and upper not in k}
-    if 0 < i < len(blocks) - 2 and not singles_defined(t.cusp, rho):
-        # the bridge between the removed pair's outer neighbours
-        pred, succ = blocks[i - 1], blocks[i + 2]
-        rest[(pred, succ)] = pairs[(pred, lower)] * pairs[(upper, succ)]
-    return _replace_row(t, rho, kept, singles, rest)
+    return _keep(t, rho, letters, tuple(a for a in blocks if a != lower and a != upper))
 
 
 def subordinate_reductions(t: JordanTriple) -> list:
-    """Every one-step subordination of t, in canonical witness order."""
+    """Every one-step subordination of t, in canonical witness order:
+    symbol by symbol, each adjacent pair of equal letters, lowest first."""
     t.require_valid()
     out = []
     for rho, row in t.rows.items():
-        for (lo, hi), v in sorted(_pair_signs(t.cusp, rho, row).items()):
-            if v == PLUS:
-                out.append(Reduction(rho, lo, hi, reduce_at(t, rho, lo, hi)))
+        blocks, letters = row[0], _word(t.cusp, rho, row)
+        out += [Reduction(rho, lo, hi, _keep(t, rho, letters, blocks[:i] + blocks[i + 2:]))
+                for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])) if letters[lo] == letters[hi]]
     return out
 
 
@@ -370,6 +374,17 @@ def _alternation(t: JordanTriple):
     return AlternatedWitness(tuple(matchings))
 
 
+def _word(cusp, rho, row) -> dict:
+    """Each block's letter in the valid row at rho: its single sign,
+    else the prefix product of the pair signs from +1.  Read only."""
+    blocks, letters, pairs = row
+    if not singles_defined(cusp, rho):
+        letters = dict.fromkeys(blocks[:1], PLUS)
+        for lo, hi in zip(blocks, blocks[1:]):
+            letters[hi] = letters[lo] * pairs[(lo, hi)]
+    return letters
+
+
 def _peel(cusp, rho, row):
     """The canonical peel of a valid row at rho: remove the +1 pair with
     maximal upper endpoint (even rho) or minimal lower endpoint (odd rho)
@@ -377,12 +392,8 @@ def _peel(cusp, rho, row):
     (even) or the bottom (odd).  ``(letters, removals, kept)``: each
     block's letter, each removal's blocks with its ``linking_sign`` before
     it (None if unlinked), the sorted survivors; None if they miss the target."""
-    blocks, letters, pairs = row
+    blocks, letters = row[0], _word(cusp, rho, row)
     derive = singles_defined(cusp, rho)
-    if not derive:  # the prefix products of the pair signs, from +1
-        letters = dict.fromkeys(blocks[:1], PLUS)
-        for lo, hi in zip(blocks, blocks[1:]):
-            letters[hi] = letters[lo] * pairs[(lo, hi)]
     even = rho.parity == EVEN
     order = blocks[::-1] if even else blocks
     stack, removals = [], []
@@ -431,55 +442,44 @@ def is_admissible(t: JordanTriple):
 
 
 def dominates(t: JordanTriple, other: JordanTriple):
-    """A chain of reductions carrying t onto other, or None: the first
-    one a depth-first search over reductions in canonical witness order
-    meets.  Triples already seen not to reach other are not searched
-    again, so each reachable triple is expanded at most once."""
+    """A chain of reductions carrying t onto other, or None: at each
+    triple the first reduction, in canonical witness order, whose two
+    blocks other lacks at its symbol.  It is the chain a depth-first
+    search would meet first: a step that removes a block other keeps
+    never reaches other, and a step inside a run of blocks other lacks
+    leaves the run's reduced word alone (the lemma above), so other
+    stays reachable; when no such step is left, t does not dominate it."""
     t.require_valid()
     other.require_valid()
     if t.cusp != other.cusp:
         raise ValueError("dominance only compares triples over one support")
-    dead = set()
-
-    def search(cur):
-        if cur == other:
-            return ()
-        if cur.size <= other.size or cur in dead:
+    chain, cur = [], t
+    while cur != other:
+        step = next((red for red in subordinate_reductions(cur)
+                     if not {red.lower, red.upper} & set(other.jord_of(red.rho))), None)
+        if step is None:
             return None
-        for red in subordinate_reductions(cur):
-            rest = search(red.result)
-            if rest is not None:
-                return (red,) + rest
-        dead.add(cur)
-        return None
-
-    return search(t)
+        chain.append(step)
+        cur = step.result
+    return tuple(chain)
 
 
 # -- extensions ----------------------------------------------------------
 
 
-def _neighbours(t, rho, lower, upper):
-    blocks = t.jord_of(rho)
-    pred = max((x for x in blocks if x < lower), default=None)
-    succ = min((x for x in blocks if x > upper), default=None)
-    return pred, succ
-
-
 def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
-    """The free sign bit carried by the pair (lower, upper) inside t.
-
-    With singles defined it is the shared single sign of the pair;
-    otherwise it is the crossing pair toward the predecessor, falling
-    back to the one toward the successor at the lower boundary.
-    """
+    """The free sign bit of the adjacent pair (lower, upper) at rho in
+    the valid t, read off the row's word: the lower block's single sign
+    where singles are defined, else the crossing pair toward the
+    predecessor, or toward the successor at the lower boundary."""
+    blocks, letters = _adjacent_word(t, rho, lower, upper)
     if singles_defined(t.cusp, rho):
-        return t.single(rho, lower)
-    pred, succ = _neighbours(t, rho, lower, upper)
-    if pred is not None:
-        return t.pair(rho, pred, lower)
-    if succ is not None:
-        return t.pair(rho, upper, succ)
+        return letters[lower]
+    i = blocks.index(lower)
+    if i:
+        return letters[blocks[i - 1]] * letters[lower]
+    if i + 2 < len(blocks):
+        return letters[upper] * letters[blocks[i + 2]]
     raise NotAdmissibleError("a pair with no sign data cannot be linked")
 
 
@@ -492,7 +492,8 @@ def _extend(t, rho, lower, upper, sign):
     grown = tuple(sorted(blocks + (lower, upper)))
     if singles_defined(t.cusp, rho):
         return _replace_row(t, rho, grown, {**singles, lower: sign, upper: sign}, pairs)
-    pred, succ = _neighbours(t, rho, lower, upper)
+    pred = max((x for x in blocks if x < lower), default=None)
+    succ = min((x for x in blocks if x > upper), default=None)
     if pred is None and succ is None:
         raise NotAdmissibleError("no sign data can link the inserted pair")
     pairs = {**pairs, (lower, upper): PLUS}

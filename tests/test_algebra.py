@@ -58,6 +58,8 @@ def test_segment_span_rules():
         seg(2, 0)  # span -2
     with pytest.raises(ValueError):
         Segment(r, 0, HalfInt(0.5))  # endpoints in different classes
+    with pytest.raises(ValueError):
+        Segment(r, float("inf"), 1)
 
 
 def test_segment_degree_scales_with_rank():

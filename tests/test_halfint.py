@@ -17,8 +17,9 @@ def test_construction_from_int_and_float():
 
 
 def test_construction_rejects_non_halves():
-    with pytest.raises(ValueError):
-        HalfInt(0.3)
+    for value in (0.3, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            HalfInt(value)
     with pytest.raises(TypeError):
         HalfInt("1")
     with pytest.raises(TypeError):

@@ -222,6 +222,12 @@ def test_reduce_at_guards():
         reduce_at(t, r, 3, 5)  # that pair carries -1
 
 
+def test_reduce_at_refuses_an_invalid_triple():
+    t = make_triple(C0, [(r, 1), (r, 3), (r, 5)], {(r, 1): PLUS, (r, 3): PLUS})  # r:5 unsigned
+    with pytest.raises(InvalidTripleError, match="missing single sign on r:5"):
+        reduce_at(t, r, 1, 3)
+
+
 def test_reduction_drops_size_by_two_and_keeps_validity():
     t = odd_triple(C0, [1, 3, 5, 7],
                    {1: PLUS, 3: PLUS, 5: MINUS, 7: MINUS})
@@ -392,6 +398,15 @@ def test_linking_sign_variants():
     lonely = odd_triple(C17, [5, 7], pairs={(5, 7): PLUS})
     with pytest.raises(NotAdmissibleError):
         linking_sign(lonely, r, 5, 7)
+
+
+def test_linking_sign_refuses_a_foreign_pair():
+    t = odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS})
+    for rho, lower, upper in ((r, 1, 5), (r, 5, 7), (q, 2, 4)):
+        with pytest.raises(ValueError, match=f"\\({lower},{upper}\\) is not an adjacent pair"):
+            linking_sign(t, rho, lower, upper)
+    with pytest.raises(InvalidTripleError, match="missing single sign on r:3"):
+        linking_sign(odd_triple(C0, [1, 3], {1: PLUS}), r, 1, 3)
 
 
 # -- serialization ---------------------------------------------------------------
