@@ -16,7 +16,7 @@ extension work happens.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import CuspidalSymbol, EVEN
 from .triples import (
@@ -57,12 +57,20 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class ReductionChain:
+    """A base triple and the steps that extend it, base-up.
+
+    Like ``JordanTriple`` it carries a mark that it is valid, set by
+    ``canonical_chain`` and by a ``chain_violations`` that finds nothing
+    on a tuple of steps; ``require_valid`` checks only an unmarked
+    chain.  The mark is no constructor argument and takes no part in
+    equality, hashing, repr or text.
+    """
     base: JordanTriple
     steps: tuple
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def require_valid(self):
-        problems = chain_violations(self)
-        if problems:
+        if not self._valid and (problems := chain_violations(self)):
             raise InvalidChainError("; ".join(problems))
         return self
 
@@ -74,7 +82,9 @@ def chain_violations(chain: ReductionChain) -> list:
     """All static invariant violations, as human-readable strings.
 
     Interval collisions with the base, or between steps, surface later
-    during realization; this checks only shape and ordering.
+    during realization; this checks only shape and ordering.  The check
+    ignores the mark of ``require_valid``, and sets it when nothing is
+    found and the steps are a tuple, which cannot change afterwards.
     """
     problems = []
     base_problems = validate_triple(chain.base)
@@ -108,13 +118,15 @@ def chain_violations(chain: ReductionChain) -> list:
                     problems.append(
                         f"upper endpoints at {rho.id} must strictly decrease along the chain")
                     break
+    object.__setattr__(chain, "_valid", not problems and isinstance(chain.steps, tuple))
     return problems
 
 
 def canonical_chain(t: JordanTriple) -> ReductionChain:
     """The canonical chain of an admissible triple, base-up: the pairs
     ``is_admissible`` removes, each with its free linking bit, read off
-    each symbol's peel, over the survivors; only the base is built."""
+    each symbol's peel, over the survivors; only the base is built.
+    The chain is marked valid, so ``realize_chain`` does not check it."""
     t.require_valid()
     recorded, base = [], t
     for rho in _universe(t):
@@ -127,7 +139,9 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
                 raise NotAdmissibleError("a pair with no sign data cannot be linked")
             recorded.append(ChainStep(rho, lo, hi, bit))
         base = _keep(base, rho, letters, kept)
-    return ReductionChain(base, tuple(reversed(recorded)))
+    chain = ReductionChain(base, tuple(reversed(recorded)))
+    object.__setattr__(chain, "_valid", True)
+    return chain
 
 
 def realize_chain(chain: ReductionChain) -> JordanTriple:
@@ -136,7 +150,9 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     Each step inserts its pair with value +1 through the dominating
     extension selected by the step's sign bit.  Raises on invalid
     chains, and GapError when an inserted interval meets a block that
-    is already present.
+    is already present.  A chain marked valid, as ``canonical_chain``
+    builds it, is not checked again, and each triple built on the way is
+    marked valid.
     """
     chain.require_valid()
     cur = chain.base

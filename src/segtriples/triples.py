@@ -120,10 +120,15 @@ class JordanTriple:
     rule (``pair``, ``pairs``) and not stored; a pair given there is
     kept only for ``validate_triple`` to report.  The constructor
     rejects non-integer blocks, and signs other than +1 and -1, and
-    canonicalizes, but does not validate; ``require_valid`` is the gate.
+    canonicalizes, but does not validate.  A triple carries a mark that
+    it is valid: the library's own builders (``_of_rows``, behind every
+    reduction, extension and enumeration result) set it on rows they
+    made valid, and so does a ``validate_triple`` that finds nothing;
+    ``require_valid`` checks only an unmarked triple.  The mark takes no
+    part in equality, hashing or text.
     """
 
-    __slots__ = ("cusp", "rows")
+    __slots__ = ("cusp", "rows", "_valid")
 
     def __init__(self, cusp: CuspidalSupport, jord=(), singles=None, pairs=None):
         if not isinstance(cusp, CuspidalSupport):
@@ -143,13 +148,16 @@ class JordanTriple:
             blocks = tuple(sorted(blocks))
             derived = _pair_signs(cusp, rho, (blocks, signs, {}))
             self.rows[rho] = (blocks, signs, {k: v for k, v in pairs.items() if derived.get(k) != v})
+        self._valid = False
 
     @classmethod
     def _of_rows(cls, cusp, rows):
-        """A triple over rows already canonical; they are shared, not copied."""
+        """A triple marked valid over rows already canonical and valid;
+        they are shared, not copied."""
         t = object.__new__(cls)
         t.cusp = cusp
         t.rows = rows
+        t._valid = True
         return t
 
     # -- accessors ---------------------------------------------------
@@ -185,8 +193,7 @@ class JordanTriple:
         return sum(len(blocks) for blocks, _, _ in self.rows.values())
 
     def require_valid(self):
-        problems = validate_triple(self)
-        if problems:
+        if not self._valid and (problems := validate_triple(self)):
             raise InvalidTripleError("; ".join(problems))
         return self
 
@@ -258,7 +265,9 @@ def validate_triple(t: JordanTriple) -> list:
     """All invariant violations, as human-readable strings, grouped by
     kind and each kind in symbol and block order: blocks that are not
     Jordan blocks, signs off or missing from their domain, and stored
-    pairs that break the product rule (signs are +1 or -1 when built)."""
+    pairs that break the product rule (signs are +1 or -1 when built).
+    The check ignores the mark of ``require_valid``, and sets it when
+    nothing is found."""
     found = []
     for rho, (blocks, singles, pairs) in t.rows.items():
         derive = singles_defined(t.cusp, rho)
@@ -277,6 +286,7 @@ def validate_triple(t: JordanTriple) -> list:
                   for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
                   and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
     found.sort(key=lambda kv: kv[0])
+    t._valid = not found
     return [message for _, message in found]
 
 
@@ -291,21 +301,23 @@ class Reduction:
     result: JordanTriple
 
 
-def _adjacent_word(t: JordanTriple, rho, lower: int, upper: int):
-    """The blocks and the word at rho of the valid t, where (lower, upper) is adjacent."""
+def _plus_pair_word(t: JordanTriple, rho, lower: int, upper: int):
+    """The blocks and the word at rho of the valid t, where (lower, upper)
+    is adjacent and carries +1: its two letters are equal."""
     t.require_valid()
     blocks = t.jord_of(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
-    return blocks, _word(t.cusp, rho, t.rows[rho])
+    letters = _word(t.cusp, rho, t.rows[rho])
+    if letters[lower] != letters[upper]:
+        raise ValueError("only pairs carrying +1 can be removed")
+    return blocks, letters
 
 
 def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
     """Remove the adjacent pair (lower, upper) at rho, carrying +1, from the
     valid t: two equal letters leave the word; the bridge is the crossings' product."""
-    blocks, letters = _adjacent_word(t, rho, lower, upper)
-    if letters[lower] != letters[upper]:
-        raise ValueError("only pairs carrying +1 can be removed")
+    blocks, letters = _plus_pair_word(t, rho, lower, upper)
     return _keep(t, rho, letters, tuple(a for a in blocks if a != lower and a != upper))
 
 
@@ -448,31 +460,40 @@ def dominates(t: JordanTriple, other: JordanTriple):
     search would meet first: a step that removes a block other keeps
     never reaches other, and a step inside a run of blocks other lacks
     leaves the run's reduced word alone (the lemma above), so other
-    stays reachable; when no such step is left, t does not dominate it."""
+    stays reachable; when no such step is left, t does not dominate it.
+
+    Each symbol's steps are read off its word in one stack pass from
+    the lowest block: a step only joins the blocks around it, so the
+    next first step is the top of the stack against the next block, and
+    only the triples on the chain are built."""
     t.require_valid()
     other.require_valid()
     if t.cusp != other.cusp:
         raise ValueError("dominance only compares triples over one support")
     chain, cur = [], t
-    while cur != other:
-        step = next((red for red in subordinate_reductions(cur)
-                     if not {red.lower, red.upper} & set(other.jord_of(red.rho))), None)
-        if step is None:
-            return None
-        chain.append(step)
-        cur = step.result
-    return tuple(chain)
+    for rho, row in t.rows.items():
+        blocks, letters, keep = row[0], _word(t.cusp, rho, row), set(other.jord_of(rho))
+        stack = []
+        for i, a in enumerate(blocks):
+            if stack and letters[stack[-1]] == letters[a] and not {stack[-1], a} & keep:
+                lower = stack.pop()
+                cur = _keep(cur, rho, letters, tuple(stack) + blocks[i + 1:])
+                chain.append(Reduction(rho, lower, a, cur))
+            else:
+                stack.append(a)
+    return tuple(chain) if cur == other else None
 
 
 # -- extensions ----------------------------------------------------------
 
 
 def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
-    """The free sign bit of the adjacent pair (lower, upper) at rho in
-    the valid t, read off the row's word: the lower block's single sign
-    where singles are defined, else the crossing pair toward the
-    predecessor, or toward the successor at the lower boundary."""
-    blocks, letters = _adjacent_word(t, rho, lower, upper)
+    """The free sign bit of the adjacent pair (lower, upper) at rho,
+    carrying +1, in the valid t, read off the row's word: the lower
+    block's single sign where singles are defined, else the crossing
+    pair toward the predecessor, or toward the successor at the lower
+    boundary.  A pair carrying -1 is refused as ``reduce_at`` refuses it."""
+    blocks, letters = _plus_pair_word(t, rho, lower, upper)
     if singles_defined(t.cusp, rho):
         return letters[lower]
     i = blocks.index(lower)

@@ -15,9 +15,12 @@ symbol's sign word must be the chain of ``is_admissible`` with
 ``linking_sign`` attached, the peel must follow its rule step by step
 on larger random triples, ``dominates`` must build the search's first
 chain, and per symbol the number of survivors is a binomial in the
-block count.
+block count.  Every triple and chain the library builds carries a mark
+that lets ``require_valid`` skip it; each one it emits over the windows
+and on random triples must pass the full check.
 """
 
+import contextlib
 import itertools
 import math
 import random
@@ -33,19 +36,26 @@ from segtriples import (
     ChainStep,
     CuspidalSupport,
     CuspidalSymbol,
+    NotAdmissibleError,
     canonical_chain,
+    chain_violations,
     count_by_jord,
     dominates,
+    dominating_extensions,
     enumerate_admissible,
     is_admissible,
     is_alternated,
     linking_sign,
     make_triple,
+    realize_chain,
     reduce_at,
     singles_defined,
+    subordinate_reductions,
     triple_text,
+    validate_triple,
 )
 from segtriples.triples import cuspidal_target
+from helpers import gap_insertions
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -186,6 +196,35 @@ def test_peel_agrees_with_the_search(name):
     assert enumerate_admissible(cusp, symbols, **bounds) == admitted
 
 
+def assert_emitted_values_are_valid(t, top):
+    """Every triple and chain the library builds from the valid t is
+    marked valid and passes the full check: the one-step reductions and,
+    when t is admissible, the triples of its ``is_admissible`` chain, its
+    canonical chain, the triple realized from it, the ``dominates`` chain
+    onto its base and the dominating extensions into every gap up to top."""
+    built = [red.result for red in subordinate_reductions(t)]
+    chain = is_admissible(t)
+    if chain is not None:
+        canon = canonical_chain(t)
+        assert canon._valid and chain_violations(canon) == [], triple_text(t)
+        built += [red.result for red in chain] + [realize_chain(canon)]
+        built += [red.result for red in dominates(t, canon.base)]
+        for rho in (r, q):
+            for lower, upper in gap_insertions(t, rho, top):
+                with contextlib.suppress(NotAdmissibleError):
+                    built += dominating_extensions(t, lower, upper, rho)
+    for u in built:
+        assert u._valid and validate_triple(u) == [], (triple_text(t), triple_text(u))
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_every_marked_value_passes_the_full_check(name):
+    cusp, symbols, bounds = WINDOWS[name]
+    for t in enumerate_admissible(cusp, symbols, **bounds):
+        assert t._valid and validate_triple(t) == [], triple_text(t)
+        assert_emitted_values_are_valid(t, bounds["max_a"] + 3)
+
+
 def test_support_blocks_outside_the_window_admit_nothing():
     cusp, symbols, bounds = WINDOWS["c17 [q] max_a=8"]
     assert enumerate_admissible(cusp, symbols, **bounds) == []
@@ -225,6 +264,12 @@ def valid_triples(draw):
             pairs.update({(rho, lo, hi): v * w
                           for lo, hi, v, w in zip(blocks, blocks[1:], word, word[1:])})
     return make_triple(cusp, jord, singles, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_triples())
+def test_marked_values_pass_the_full_check_on_random_triples(t):
+    assert_emitted_values_are_valid(t, 29)
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,11 +19,17 @@ from segtriples import (
     chain_violations,
     count_by_jord,
     dominance_edges,
+    dominates,
+    dominating_extensions,
     enumerate_admissible,
     is_admissible,
+    is_alternated,
+    linking_sign,
     make_triple,
     parse_chain,
     realize_chain,
+    reduce_at,
+    subordinate_reductions,
     triple_text,
 )
 from helpers import condition3_checks
@@ -155,8 +161,9 @@ def test_realize_validates_first():
         realize_chain(bad)
 
 
-def test_round_trip_validates_once_per_boundary(monkeypatch):
-    # canonical_chain validates the triple, realize_chain the chain's base
+@pytest.fixture
+def validations(monkeypatch):
+    """The triples ``validate_triple`` is called on, in call order."""
     calls = []
     validate = segtriples.triples.validate_triple
 
@@ -166,12 +173,76 @@ def test_round_trip_validates_once_per_boundary(monkeypatch):
 
     monkeypatch.setattr(segtriples.triples, "validate_triple", counted)
     monkeypatch.setattr(segtriples.classify, "validate_triple", counted)
-    t = odd_triple(C17, [1, 3, 5, 7, 9, 11],
-                   pairs={(1, 3): MINUS, (3, 5): PLUS, (5, 7): MINUS,
-                          (7, 9): PLUS, (9, 11): MINUS})
+    return calls
+
+
+def user_triple():
+    """A fresh, unmarked admissible triple with a five-step canonical chain."""
+    return odd_triple(C17, [1, 3, 5, 7, 9, 11],
+                      pairs={(1, 3): MINUS, (3, 5): PLUS, (5, 7): MINUS,
+                             (7, 9): PLUS, (9, 11): MINUS})
+
+
+def test_round_trip_validates_once_per_boundary(validations):
+    # canonical_chain validates the triple; realize_chain trusts the marked chain it built
+    t = user_triple()
     chain = canonical_chain(t)
     assert chain.steps and realize_chain(chain) == t
-    assert calls == [t, chain.base]
+    assert validations == [t]
+
+
+# each call gets fresh user-built triples and returns them with its result
+VALIDATING_CALLS = {
+    "is_admissible": lambda t, u: ((t,), is_admissible(t)),
+    "canonical_chain": lambda t, u: ((t,), canonical_chain(t)),
+    "realize_chain": lambda t, u: ((u.base,), realize_chain(u)),
+    "subordinate_reductions": lambda t, u: ((t,), subordinate_reductions(t)),
+    "is_alternated": lambda t, u: ((u.base,), is_alternated(u.base)),
+    "reduce_at": lambda t, u: ((t,), reduce_at(t, r, 3, 5)),
+    "linking_sign": lambda t, u: ((t,), linking_sign(t, r, 3, 5)),
+    "dominates": lambda t, u: ((t, u.base), dominates(t, u.base)),
+    "dominating_extensions": lambda t, u: ((t,), dominating_extensions(t, 13, 15, r)),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATING_CALLS)
+def test_each_call_validates_a_user_built_triple_at_most_once(name, validations):
+    t = user_triple()
+    # a chain parsed from text has a user-built base and carries no mark
+    u = parse_chain(chain_text(canonical_chain(user_triple())), C17, SYMBOLS)
+    validations.clear()
+    given, result = VALIDATING_CALLS[name](t, u)
+    assert result is not None
+    assert len(validations) <= len(given)
+    assert all(sum(v is g for v in validations) <= 1 for g in given)
+    assert all(any(v is g for g in given) for v in validations)
+
+
+def test_a_query_validates_a_user_built_triple_once(validations):
+    t = user_triple()
+    assert segtriples.triples.validate_triple(t) == []
+    assert is_admissible(t) is not None
+    assert realize_chain(canonical_chain(t)) == t
+    assert validations == [t]
+
+
+def test_a_chain_over_a_list_of_steps_is_checked_at_every_call():
+    # a list can change after a check passed, so the check does not mark such a chain
+    chain = canonical_chain(user_triple())
+    steps = list(chain.steps)
+    listed = ReductionChain(chain.base, steps)
+    assert realize_chain(listed) == user_triple()
+    steps.append(ChainStep(r, 3, 1, PLUS))
+    with pytest.raises(InvalidChainError, match="need lower < upper"):
+        realize_chain(listed)
+
+
+def test_a_marked_chain_is_an_unmarked_chain():
+    chain = canonical_chain(user_triple())
+    again = parse_chain(chain_text(chain), C17, SYMBOLS)
+    assert chain._valid and not again._valid
+    assert chain == again and hash(chain) == hash(again)
+    assert repr(chain) == repr(again) and str(chain) == str(again)
 
 
 def test_condition3_replay_on_a_sample_chain():

@@ -175,6 +175,32 @@ def test_require_valid_raises():
         JordanTriple(C0, [(r, 4)], {(r, 4): PLUS}).require_valid()
 
 
+def test_validate_ignores_the_valid_mark():
+    # _of_rows marks its result valid; the full check must still report every violation
+    t = JordanTriple(C1, [(r, 2), (r, 3), (r, 5), (q, 2), (q, 4), (q, 6)],
+                     {(r, 3): PLUS, (q, 2): PLUS, (q, 4): PLUS},
+                     {(r, 3, 5): PLUS, (r, 3, 9): MINUS, (q, 2, 4): MINUS})
+    marked = JordanTriple._of_rows(t.cusp, t.rows)
+    assert marked._valid
+    assert validate_triple(marked) == [
+        "block 2 is not a positive integer of odd parity at r",
+        "single sign on r:3 is not in the domain",
+        "missing single sign on q:6",
+        "pair sign on r:3-9 is not adjacent",
+        "missing pair sign on q:4-6",
+        "missing pair sign on r:2-3",
+        "pair sign on q:2-4 breaks the product rule",
+    ] == validate_triple(t)
+
+
+def test_a_marked_triple_is_an_unmarked_triple():
+    for marked in enumerate_admissible(C17, [r, q], max_a=6):
+        t = parse_triple(triple_text(marked), C17, SYMBOLS)
+        assert marked._valid and not t._valid
+        assert marked == t and hash(marked) == hash(t)
+        assert repr(marked) == repr(t) and str(marked) == str(t)
+
+
 # -- subordination -------------------------------------------------------------
 
 
@@ -394,7 +420,11 @@ def test_linking_sign_variants():
     pairs = odd_triple(C17, [1, 3, 5, 7],
                        pairs={(1, 3): MINUS, (3, 5): PLUS, (5, 7): MINUS})
     assert linking_sign(pairs, r, 3, 5) == MINUS  # toward the predecessor
-    assert linking_sign(pairs, r, 1, 3) == PLUS   # no predecessor: successor side
+    with pytest.raises(ValueError, match="only pairs carrying \\+1 can be removed"):
+        linking_sign(pairs, r, 1, 3)  # the pair carries -1
+    lowest = odd_triple(C17, [1, 3, 5, 7],
+                        pairs={(1, 3): PLUS, (3, 5): MINUS, (5, 7): MINUS})
+    assert linking_sign(lowest, r, 1, 3) == MINUS  # no predecessor: successor side
     lonely = odd_triple(C17, [5, 7], pairs={(5, 7): PLUS})
     with pytest.raises(NotAdmissibleError):
         linking_sign(lonely, r, 5, 7)
