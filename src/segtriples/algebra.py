@@ -4,13 +4,13 @@ The basic objects are segments: intervals of consecutive twists
 [nu^a rho, nu^b rho] of a fixed self-dual cuspidal symbol rho.  Products
 of segments span the positive cone of the Grothendieck group, and the
 comultiplication sends a segment to the sum of its suffix (x) prefix
-splittings.  Everything here is exact integer combinatorics: terms are
-frozen (assigning an attribute raises AttributeError), sums are
-multisets with positive integer coefficients.  Each term type builds one
-``key`` over doubled integers that decides equality, hashing and order;
-GL terms hash their key once, when built.  HalfInt appears only where
-endpoints are given or read, and a sum sorts its terms only to render
-them.
+splittings.  Everything here is exact integer combinatorics: symbols and
+terms are frozen (assigning an attribute raises AttributeError), sums
+are multisets with positive integer coefficients.  Each term type
+builds one ``key`` over doubled integers that decides equality, hashing
+and order; GL terms hash their key once, when built.  HalfInt appears
+only where endpoints are given or read, and a sum sorts its terms only
+to render them.
 
 The public constructors check what they are given.  Products of GL terms
 do not check again: both factors are already valid and sorted, so
@@ -32,6 +32,10 @@ class GradeError(ValueError):
     """Raised when formal sums from different grades are combined."""
 
 
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class CuspidalSymbol:
     """An irreducible self-dual cuspidal placeholder.
 
@@ -40,10 +44,12 @@ class CuspidalSymbol:
     block sizes it supports (even when the symmetric-type L-function has
     a pole at the origin, odd otherwise).  Symbols compare by id; using
     one id with two different ranks or parities in a session is a
-    configuration error, not something this class can detect.
+    configuration error, not something this class can detect.  Symbols
+    are frozen and hash their id once, when built.
     """
 
-    __slots__ = ("id", "rank", "parity")
+    __slots__ = ("id", "rank", "parity", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, id: str, rank: int = 1, parity: str = ODD):
         if not isinstance(id, str) or not id:
@@ -52,9 +58,8 @@ class CuspidalSymbol:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         if parity not in (EVEN, ODD):
             raise ValueError(f"parity must be {EVEN!r} or {ODD!r}, got {parity!r}")
-        self.id = id
-        self.rank = rank
-        self.parity = parity
+        for slot, value in zip(self.__slots__, (id, rank, parity, hash(id))):
+            object.__setattr__(self, slot, value)
 
     def matches_parity(self, a: int) -> bool:
         """True when the integer a has this symbol's block parity."""
@@ -78,17 +83,13 @@ class CuspidalSymbol:
         return self.id == other.id
 
     def __hash__(self):
-        return hash(self.id)
+        return self._hash
 
     def __str__(self):
         return self.id
 
     def __repr__(self):
         return f"CuspidalSymbol({self.id!r}, rank={self.rank}, parity={self.parity!r})"
-
-
-def _immutable(self, *_):
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Segment:
@@ -299,15 +300,17 @@ class FormalSum:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for term, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError("coefficients must be integers")
-                if c < 0:
-                    raise ValueError("coefficients must be nonnegative")
-                if c:
-                    data[term] = data.get(term, 0) + c
+        is_dict = isinstance(coeffs, dict)
+        data = dict(coeffs) if is_dict else {}  # a copy hashes no term again
+        for term, c in (coeffs.items() if is_dict else coeffs or ()):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError("coefficients must be integers")
+            if c < 0:
+                raise ValueError("coefficients must be nonnegative")
+            if not is_dict:
+                data[term] = data.get(term, 0) + c
+        if 0 in data.values():
+            data = {term: c for term, c in data.items() if c}
         self._coeffs = data
 
     @classmethod

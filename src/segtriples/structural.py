@@ -12,13 +12,20 @@ plain suffix.  Every loop here walks sums unordered.
 The base rows and the segments built here are already valid, so the
 inner loop of ``expand_induced`` makes its terms without checking them
 again.  The base rows are grouped by their GL leg, each leg is merged
-once with the shed segments, and the kept segment goes on top of an
-existing object through the trusted ``GSpinTerm._on_top``.  Objects are
-frozen and hash their key once, when built.
+once with the shed segments, and for each (i, j) each distinct induced
+leg of the base gets the kept segment on top once, through the trusted
+``GSpinTerm._on_top``; ``flatten_sum`` flattens each distinct leg once.
+Both build with the cyclic garbage collector paused, process-wide for
+the length of the call (a memo hit pauses nothing).  Objects are frozen
+and hash their key once, when built, and refer only to older values,
+tuples, strings and ints, so no build makes a reference cycle and
+refcounting frees every temporary.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from operator import attrgetter
 
 from .algebra import FormalSum, GLTerm, GradeError, Segment, _immutable
@@ -181,6 +188,18 @@ class ExpansionTable:
         return obj in self._rows
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic collector; on exit re-enable it if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> FormalSum:
     """Expansion of the object obtained by inducing ``seg`` over ``base``.
 
@@ -201,24 +220,25 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     node = induce(seg, base)
     if node in table:
         return table.lookup(node)
-    # base rows grouped by their GL leg, so each product is merged once
-    by_tau = {}
-    for (tau, sprime), c in table.lookup(base):
-        by_tau.setdefault(tau, []).append((sprime, c))
-    rho = seg.rho
-    k = -seg.a
-    l = seg.b
-    out = {}
-    for i in HalfInt.range_inclusive(-k - 1, l):
-        for j in HalfInt.range_inclusive(i, l):
-            shed = GLTerm.of(Segment(rho, -i, k), Segment(rho, j + 1, l))
-            kept = GLTerm.of(Segment(rho, i + 1, j))
-            for tau, rows in by_tau.items():
-                gl = shed * tau
-                for sprime, c in rows:
-                    key = (gl, sprime._on_top(kept) if kept.segments else sprime)
-                    out[key] = out.get(key, 0) + c
-    result = FormalSum(out)
+    with _collector_paused():
+        # base rows grouped by their GL leg, so each product is merged once,
+        # each naming its induced leg by its index in ``legs``
+        by_tau, legs = {}, {}
+        for (tau, sprime), c in table.lookup(base):
+            by_tau.setdefault(tau, []).append((legs.setdefault(sprime, len(legs)), c))
+        rho, k, l = seg.rho, -seg.a, seg.b
+        out = {}
+        for i in HalfInt.range_inclusive(-k - 1, l):
+            for j in HalfInt.range_inclusive(i, l):
+                shed = GLTerm.of(Segment(rho, -i, k), Segment(rho, j + 1, l))
+                kept = GLTerm.of(Segment(rho, i + 1, j))
+                on_top = [s._on_top(kept) for s in legs] if kept.segments else list(legs)
+                for tau, tau_rows in by_tau.items():
+                    gl = shed * tau
+                    for leg, c in tau_rows:
+                        key = (gl, on_top[leg])
+                        out[key] = out.get(key, 0) + c
+        result = FormalSum(out)
     table.register(node, result)
     return result
 
@@ -226,7 +246,12 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
 def flatten_sum(expansion: FormalSum) -> FormalSum:
     """Forget stack order on every induced leg; sums from different
     build orders of the same object agree after this."""
-    return FormalSum(((gl, obj.flattened()), c) for (gl, obj), c in expansion)
+    flat, forms = {}, {}  # each distinct leg -> its form, one object per form
+    with _collector_paused():
+        for obj in {obj for (_, obj), _ in expansion}:
+            form = obj.flattened()
+            flat[obj] = forms.setdefault(form, form)
+        return FormalSum(((gl, flat[obj]), c) for (gl, obj), c in expansion)
 
 
 def degree_conserved(expansion: FormalSum, total: int, leaf_degree=None) -> bool:

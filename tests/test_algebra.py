@@ -45,7 +45,19 @@ def test_symbol_parity():
 
 def test_symbols_compare_by_id():
     assert CuspidalSymbol("r", 5, EVEN) == r
-    assert hash(CuspidalSymbol("r")) == hash(r)
+    assert hash(CuspidalSymbol("r")) == hash(r) == hash("r")
+
+
+def test_symbols_are_frozen():
+    s = CuspidalSymbol("r")
+    d = {s: 1}
+    for name, value in (("id", "x"), ("rank", 2), ("parity", EVEN), ("_hash", 0)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(s, name, value)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(s, name)
+    assert (s.id, s.rank, s.parity) == ("r", 1, ODD)
+    assert s in d and d[CuspidalSymbol("r")] == 1
 
 
 # -- segments --------------------------------------------------------------
@@ -173,10 +185,28 @@ def test_sum_construction_rules():
     t = GLTerm.of(seg(0, 0))
     assert FormalSum({t: 0}) == FormalSum()
     assert not FormalSum()
-    with pytest.raises(ValueError):
-        FormalSum({t: -1})
-    with pytest.raises(ValueError):
-        FormalSum({t: True})
+    a, b = t, GLTerm.of(seg(1, 1))
+    # a dict and an iterable of pairs obey the same rules
+    for build in (dict, lambda d: list(d.items())):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                FormalSum(build({a: bad}))
+        with pytest.raises(ValueError, match="coefficients must be nonnegative"):
+            FormalSum(build({a: -1}))
+        # the first bad value in iteration order decides the message
+        with pytest.raises(ValueError, match="coefficients must be nonnegative"):
+            FormalSum(build({a: -1, b: 1.5}))
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            FormalSum(build({a: 1.5, b: -1}))
+        # a zero is dropped, and every value after it is still checked
+        with pytest.raises(ValueError, match="coefficients must be nonnegative"):
+            FormalSum(build({a: 0, b: -1}))
+        kept = FormalSum(build({a: 0, b: 2}))
+        assert list(kept) == [(b, 2)] and kept.coefficient(a) == 0
+    # duplicate pairs are summed
+    s = FormalSum([(a, 1), (b, 3), (GLTerm.of(seg(0, 0)), 2), (b, 0)])
+    assert s == FormalSum({a: 3, b: 3})
+    assert s.total == 6 and len(s) == 2
 
 
 def test_sum_arithmetic():

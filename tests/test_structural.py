@@ -1,4 +1,9 @@
+import gc
+import itertools
+import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +25,7 @@ from segtriples import (
     comult,
     induce,
 )
+from segtriples.config import load_config
 from helpers import comult_gl
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -209,6 +215,66 @@ def _mu_star_from_comult(seg, base_rows):
     return FormalSum(out)
 
 
+def _flat_leg(gl_terms, base):
+    """The flattened object over ``base`` carrying every segment of
+    ``gl_terms``, built through the public constructors."""
+    segs = [s for t in gl_terms for s in t.segments]
+    return GSpinTerm((GLTerm(segs),), base) if segs else GSpinTerm.cuspidal(base)
+
+
+def _depth_one_rows(seg):
+    """m*(seg |x c0) as a list of ((gl, leg), coefficient), from comult."""
+    return list(_mu_star_from_comult(seg, FormalSum.of((GLTerm.unit(), C0))))
+
+
+def _multiplicative_mu_star(segs, base_rows):
+    """Flattened m* of the tower segs over a base, by Tadic's
+    multiplicativity m*(s1 x ... x sn |x sigma) = M*(s1) x ... x M*(sn)
+    |x m*(sigma): every choice of one depth-1 row per segment, times
+    every base row, with the GL legs multiplied and the induced legs
+    merged into one multiset."""
+    out = {}
+    for picks in itertools.product(*map(_depth_one_rows, segs)):
+        left, legs, coeff = GLTerm.unit(), [], 1
+        for (gl, leg), c in picks:
+            left, coeff = left * gl, coeff * c
+            legs.extend(leg.gl_terms)
+        for (tau, sprime), c in base_rows:
+            key = (left * tau, _flat_leg(legs + list(sprime.gl_terms), sprime.base))
+            out[key] = out.get(key, 0) + coeff * c
+    return FormalSum(out)
+
+
+def test_deep_tower_is_the_product_of_its_depth_one_rows():
+    seg = Segment(r, -1, 2)
+    table = ExpansionTable()
+    cur = table.add_cuspidal("c0")
+    for _ in range(4):
+        out = expand_induced(seg, cur, table)
+        cur = induce(seg, cur)
+    flat = flatten_sum(out)
+    assert (len(out), out.total, len(flat)) == (16920, 50625, 3060)
+    # every multiset of four depth-1 rows, weighted by its multinomial
+    rows = _depth_one_rows(seg)
+    assert len(rows) == 15 and all(c == 1 for _, c in rows)
+    want = {}
+    for picks in itertools.combinations_with_replacement(range(len(rows)), 4):
+        weight = math.factorial(4)
+        for n in Counter(picks).values():
+            weight //= math.factorial(n)
+        left, legs = GLTerm.unit(), []
+        for (gl, leg), c in (rows[p] for p in picks):
+            left, weight = left * gl, weight * c
+            legs.extend(leg.gl_terms)
+        key = (left, _flat_leg(legs, "c0"))
+        want[key] = want.get(key, 0) + weight
+    assert len(want) == math.comb(18, 4) == 3060
+    assert flat == FormalSum(want)
+    unit = GLTerm.unit()
+    assert [(t, c) for t, c in out if t[0].is_unit] == [((unit, cur), 1)]
+    assert [(t, c) for t, c in flat if t[0].is_unit] == [((unit, _flat_leg(cur.gl_terms, "c0")), 1)]
+
+
 def test_expansion_matches_the_structure_formula_built_from_comult():
     rng = random.Random(11)
     table = ExpansionTable()
@@ -227,6 +293,24 @@ def segments(draw):
     rho = draw(st.sampled_from([r, q]))
     a = HalfInt.from_twice(2 * draw(st.integers(-3, 3)) + (0 if rho is r else 1))
     return Segment(rho, a, a + draw(st.integers(0, 2)))
+
+
+MU_FIXTURE = load_config(Path(__file__).parent / "fixtures" / "mu_fixture.json")
+FIXTURE_BASE = next(iter(MU_FIXTURE.expansions))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=3), st.sampled_from([C0, FIXTURE_BASE]))
+def test_random_towers_are_multiplicative(segs, base):
+    table = MU_FIXTURE.expansion_table()
+    cur = base
+    for s in segs:
+        out = expand_induced(s, cur, table)
+        cur = induce(s, cur)
+    base_rows = table.lookup(base)
+    assert flatten_sum(out) == _multiplicative_mu_star(segs, base_rows)
+    level_totals = [sum(c for _, c in _depth_one_rows(s)) for s in segs]
+    assert out.total == math.prod(level_totals) * base_rows.total
 
 
 @settings(max_examples=150, deadline=None)
@@ -275,3 +359,31 @@ def test_gspin_terms_are_frozen():
     with pytest.raises(AttributeError):
         node.base = "c1"
     assert node in d
+
+
+def test_expansion_leaves_the_collector_enabled(table):
+    assert gc.isenabled()
+    s = Segment(r, -1, 2)
+    first = expand_induced(s, C0, table)
+    assert gc.isenabled()
+    assert expand_induced(s, C0, table) is first  # a memo hit
+    assert gc.isenabled()
+    flatten_sum(expand_induced(s, induce(s, C0), table))
+    assert gc.isenabled()
+
+
+def test_expansion_leaves_a_disabled_collector_disabled(table):
+    gc.disable()
+    try:
+        out = expand_induced(Segment(r, 0, 1), C0, table)
+        assert not gc.isenabled()
+        flatten_sum(out)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_failed_expansion_leaves_the_collector_enabled(table):
+    with pytest.raises(ValueError, match="no expansion registered"):
+        expand_induced(Segment(r, 0, 1), GSpinTerm.cuspidal("zz"), table)
+    assert gc.isenabled()
