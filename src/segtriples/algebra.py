@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .halfint import HalfInt
+from .halfint import HalfInt, _immutable
 
 EVEN = "even"
 ODD = "odd"
@@ -30,10 +30,6 @@ ODD = "odd"
 
 class GradeError(ValueError):
     """Raised when formal sums from different grades are combined."""
-
-
-def _immutable(self, *_):
-    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class CuspidalSymbol:

@@ -20,23 +20,19 @@ from dataclasses import dataclass, field
 
 from .algebra import CuspidalSymbol, EVEN
 from .triples import (
-    MINUS,
-    PLUS,
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
-    _EMPTY,
+    _admissible_rows,
     _alternation,
     _extend,
     _keep,
     _pair_error,
     _parse_sign,
-    _peel,
+    _peels,
     _sign,
     _sign_char,
-    _universe,
     parse_triple,
-    singles_defined,
     subordinate_reductions,
     triple_text,
     validate_triple,
@@ -86,11 +82,8 @@ def chain_violations(chain: ReductionChain) -> list:
     ignores the mark of ``require_valid``, and sets it when nothing is
     found and the steps are a tuple, which cannot change afterwards.
     """
-    problems = []
-    base_problems = validate_triple(chain.base)
-    if base_problems:
-        problems.extend(f"base: {p}" for p in base_problems)
-    elif _alternation(chain.base) is None:
+    problems = [f"base: {p}" for p in validate_triple(chain.base)]
+    if not problems and _alternation(chain.base) is None:
         problems.append("base triple is not of alternated type")
     by_rho = {}
     for i, step in enumerate(chain.steps):
@@ -107,17 +100,11 @@ def chain_violations(chain: ReductionChain) -> list:
         else:
             by_rho.setdefault(step.rho, []).append(step)
     for rho, steps in sorted(by_rho.items(), key=lambda kv: kv[0].id):
-        for prev, cur in zip(steps, steps[1:]):
-            if rho.parity == EVEN:
-                if not cur.lower > prev.lower:
-                    problems.append(
-                        f"lower endpoints at {rho.id} must strictly increase along the chain")
-                    break
-            else:
-                if not cur.upper < prev.upper:
-                    problems.append(
-                        f"upper endpoints at {rho.id} must strictly decrease along the chain")
-                    break
+        even = rho.parity == EVEN
+        if any(cur.lower <= prev.lower if even else cur.upper >= prev.upper
+               for prev, cur in zip(steps, steps[1:])):
+            end, way = ("lower", "increase") if even else ("upper", "decrease")
+            problems.append(f"{end} endpoints at {rho.id} must strictly {way} along the chain")
     object.__setattr__(chain, "_valid", not problems and isinstance(chain.steps, tuple))
     return problems
 
@@ -127,17 +114,12 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
     ``is_admissible`` removes, each with its free linking bit, read off
     each symbol's peel, over the survivors; only the base is built.
     The chain is marked valid, so ``realize_chain`` does not check it."""
-    t.require_valid()
+    peels = _peels(t.require_valid())
+    if peels is None:
+        raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, base = [], t
-    for rho in _universe(t):
-        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
-        if peeled is None:
-            raise NotAdmissibleError("no chain reaches an alternated triple")
-        letters, removals, kept = peeled
-        for lo, hi, bit in removals:
-            if bit is None:
-                raise NotAdmissibleError("a pair with no sign data cannot be linked")
-            recorded.append(ChainStep(rho, lo, hi, bit))
+    for rho, letters, removals, kept in peels:
+        recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
         base = _keep(base, rho, letters, kept)
     chain = ReductionChain(base, tuple(reversed(recorded)))
     object.__setattr__(chain, "_valid", True)
@@ -162,16 +144,6 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 
 # -- enumeration ----------------------------------------------------------
-
-
-def _sign_assignments(cusp, rho, blocks):
-    """Every row at rho over cusp carrying exactly these sorted blocks:
-    signs on the singles where defined, else on the pairs."""
-    derive = singles_defined(cusp, rho)
-    keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
-    for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
-        signs = dict(zip(keys, bits))
-        yield (blocks, signs, {}) if derive else (blocks, {}, signs)
 
 
 def _window(symbols, max_a, max_jord, jord_sets) -> dict:
@@ -228,11 +200,8 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     window = _window(symbols, max_a, max_jord, jord_sets)
     if any(rho not in window for rho in cusp.symbols):
         return []
-    per_symbol = []
-    for rho, sets in window.items():
-        per_symbol.append([{rho: row} if blocks else {} for blocks in sets
-                           for row in _sign_assignments(cusp, rho, blocks)
-                           if _peel(cusp, rho, row) is not None])
+    per_symbol = [[rows for blocks in sets for rows in _admissible_rows(cusp, rho, blocks)]
+                  for rho, sets in window.items()]
     found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()})
              for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)

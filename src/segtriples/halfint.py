@@ -16,27 +16,33 @@ _HALF_RE = re.compile(r"^([+-]?\d+)/2$")
 _HALF_MOD_HASH_PRIME = (sys.hash_info.modulus + 1) // 2
 
 
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 @functools.total_ordering
 class HalfInt:
     """An element of (1/2)Z with exact comparisons and hashing.
 
     Construct from an int, another HalfInt, or a float that is an exact
     multiple of 1/2.  ``HalfInt.from_twice(n)`` builds n/2 directly.
+    Values are frozen.
     """
 
     __slots__ = ("twice",)
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, value=0):
         if isinstance(value, HalfInt):
-            self.twice = value.twice
+            _set_twice(self, value.twice)
         elif isinstance(value, bool):
             raise TypeError("bool is not a half-integer")
         elif isinstance(value, int):
-            self.twice = 2 * value
+            _set_twice(self, 2 * value)
         elif isinstance(value, float):
             if not (value * 2).is_integer():  # also refuses inf and nan
                 raise ValueError(f"{value!r} is not a multiple of 1/2")
-            self.twice = int(value * 2)
+            _set_twice(self, int(value * 2))
         else:
             raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
 
@@ -45,7 +51,7 @@ class HalfInt:
         if not isinstance(twice, int) or isinstance(twice, bool):
             raise TypeError("from_twice expects an int")
         obj = cls.__new__(cls)
-        obj.twice = twice
+        _set_twice(obj, twice)
         return obj
 
     @classmethod
@@ -140,3 +146,6 @@ class HalfInt:
 
     def __repr__(self):
         return f"HalfInt({self})"
+
+
+_set_twice = HalfInt.twice.__set__

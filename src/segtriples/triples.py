@@ -35,13 +35,17 @@ symbol leave the other rows alone, the lemma gives: the canonical peel,
 the stack reduction of each row's word, decides admissibility; and t
 dominates u exactly when u is t cut down to some of its blocks and
 each run of blocks of t that u lacks reduces to the empty word.
+``_peels`` walks the peel over a triple's symbols for every reader,
+``_admissible_rows`` lists the rows it admits on one block set, and no
+other module builds or reads a row.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .algebra import EVEN, CuspidalSymbol
+from .algebra import EVEN, CuspidalSymbol, _immutable
 
 PLUS = 1
 MINUS = -1
@@ -61,9 +65,11 @@ class GapError(ValueError):
 
 class CuspidalSupport:
     """A named cuspidal base object with its Jordan blocks per symbol;
-    a symbol given no blocks is dropped, so each support has one form."""
+    a symbol given no blocks is dropped, so each support has one form.
+    Supports are frozen."""
 
     __slots__ = ("id", "_jord")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, id: str, jord=None):
         if not isinstance(id, str) or not id:
@@ -79,8 +85,8 @@ class CuspidalSupport:
             if blocks:
                 rows.append((rho, frozenset(blocks)))
         rows.sort(key=lambda kv: kv[0].id)
-        self.id = id
-        self._jord = tuple(rows)
+        CuspidalSupport.id.__set__(self, id)
+        CuspidalSupport._jord.__set__(self, tuple(rows))
 
     def jord_of(self, rho: CuspidalSymbol) -> frozenset:
         for sym, blocks in self._jord:
@@ -119,7 +125,8 @@ class JordanTriple:
     Where singles are defined, pair signs are derived by the product
     rule (``pair``, ``pairs``) and not stored; a pair given there is
     kept only for ``validate_triple`` to report.  The constructor
-    rejects non-integer blocks, and signs other than +1 and -1, and
+    rejects a symbol that is not a ``CuspidalSymbol`` (TypeError),
+    non-integer blocks, and signs other than +1 and -1, and
     canonicalizes, but does not validate.  A triple carries a mark that
     it is valid: the library's own builders (``_of_rows``, behind every
     reduction, extension and enumeration result) set it on rows they
@@ -141,6 +148,8 @@ class JordanTriple:
         for (rho, lo, hi), v in (pairs or {}).items():
             key = (_integer(lo, "block"), _integer(hi, "block"))
             given.setdefault(rho, (set(), {}, {}))[2][key] = _sign(v)
+        if any(not isinstance(rho, CuspidalSymbol) for rho in given):
+            raise TypeError("triple keys must be CuspidalSymbol objects")
         self.cusp = cusp
         self.rows = {}
         for rho in sorted(given, key=lambda s: s.id):
@@ -359,11 +368,6 @@ def cuspidal_target(t: JordanTriple, rho) -> frozenset:
     return frozenset(target)
 
 
-def _universe(t: JordanTriple) -> list:
-    """The symbols carrying blocks in t or in its cuspidal support, by id."""
-    return sorted(set(t.cusp.symbols).union(t.symbols), key=lambda s: s.id)
-
-
 def is_alternated(t: JordanTriple):
     """The witness matchings if t is of alternated type, else None.
 
@@ -377,13 +381,11 @@ def is_alternated(t: JordanTriple):
 
 def _alternation(t: JordanTriple):
     """``is_alternated`` for a valid triple: no symbol's peel removes a pair or misses."""
-    matchings = []
-    for rho in _universe(t):
-        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
-        if peeled is None or peeled[1]:
-            return None
-        matchings.append((rho, tuple(zip(t.jord_of(rho), sorted(cuspidal_target(t, rho))))))
-    return AlternatedWitness(tuple(matchings))
+    peels = _peels(t)
+    if peels is None or any(removals for _, _, removals, _ in peels):
+        return None
+    return AlternatedWitness(tuple((rho, tuple(zip(kept, sorted(cuspidal_target(t, rho)))))
+                                   for rho, _, _, kept in peels))
 
 
 def _word(cusp, rho, row) -> dict:
@@ -403,7 +405,8 @@ def _peel(cusp, rho, row):
     until none is left, by stack-reducing the sign word from the top
     (even) or the bottom (odd).  ``(letters, removals, kept)``: each
     block's letter, each removal's blocks with its ``linking_sign`` before
-    it (None if unlinked), the sorted survivors; None if they miss the target."""
+    it (None if unlinked, then the target is missed), the sorted survivors;
+    None if they miss the target."""
     blocks, letters = row[0], _word(cusp, rho, row)
     derive = singles_defined(cusp, rho)
     even = rho.parity == EVEN
@@ -423,6 +426,31 @@ def _peel(cusp, rho, row):
     return (letters, removals, kept) if len(kept) == len(cusp.jord_of(rho)) + bool(zero) else None
 
 
+def _peels(t: JordanTriple):
+    """The canonical peel of the valid t at each symbol carrying blocks
+    in t or in its cuspidal support, in id order, as ``(rho, letters,
+    removals, kept)``; None if one symbol's peel misses its target."""
+    peels = []
+    for rho in sorted(set(t.cusp.symbols).union(t.symbols), key=lambda s: s.id):
+        if (peeled := _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))) is None:
+            return None
+        peels.append((rho, *peeled))
+    return peels
+
+
+def _admissible_rows(cusp, rho, blocks):
+    """Every row at rho over cusp on exactly these sorted blocks that
+    the canonical peel admits, signed on the singles where defined,
+    else on the pairs; each as a row map, empty for no blocks."""
+    derive = singles_defined(cusp, rho)
+    keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
+    for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
+        signs = dict(zip(keys, bits))
+        row = (blocks, signs, {}) if derive else (blocks, {}, signs)
+        if _peel(cusp, rho, row) is not None:
+            yield {rho: row} if blocks else {}
+
+
 def _keep(t: JordanTriple, rho, letters, kept) -> JordanTriple:
     """t with the row at rho cut down to the blocks kept, signed by their letters."""
     if singles_defined(t.cusp, rho):
@@ -438,13 +466,11 @@ def is_admissible(t: JordanTriple):
     Compare the result against None: an alternated triple is admissible
     with the EMPTY chain, which is falsy.
     """
-    t.require_valid()
+    peels = _peels(t.require_valid())
+    if peels is None:
+        return None
     chain, cur = [], t
-    for rho in _universe(t):
-        peeled = _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))
-        if peeled is None:
-            return None
-        letters, removals, _ = peeled
+    for rho, letters, removals, _ in peels:
         kept = t.jord_of(rho)
         for lo, hi, _ in removals:
             kept = tuple(a for a in kept if a != lo and a != hi)
@@ -506,7 +532,8 @@ def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
 
 def _extend(t, rho, lower, upper, sign):
     """Insert (lower, upper) at rho with value +1 and linking bit sign.
-    Of the preconditions of ``dominating_extensions`` it checks the gap."""
+    Of the preconditions of ``dominating_extensions`` it checks the gap;
+    t is admissible or an alternated base, so its blocks link the pair."""
     blocks, singles, pairs = t.rows.get(rho, _EMPTY)
     if any(lower <= x <= upper for x in blocks):
         raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
@@ -515,8 +542,6 @@ def _extend(t, rho, lower, upper, sign):
         return _replace_row(t, rho, grown, {**singles, lower: sign, upper: sign}, pairs)
     pred = max((x for x in blocks if x < lower), default=None)
     succ = min((x for x in blocks if x > upper), default=None)
-    if pred is None and succ is None:
-        raise NotAdmissibleError("no sign data can link the inserted pair")
     pairs = {**pairs, (lower, upper): PLUS}
     if pred is not None:
         pairs[(pred, lower)] = sign
@@ -534,7 +559,7 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     lie in [lower, upper].  The two results differ exactly in the free
     linking bit; they are returned with the +1 bit first.
     """
-    if is_admissible(t) is None:
+    if _peels(t.require_valid()) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if problem := _pair_error(rho, lower, upper):
         raise ValueError(problem)

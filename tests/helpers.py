@@ -8,11 +8,25 @@ from segtriples import (
     FormalSum,
     GLTerm,
     ODD,
+    CuspidalSymbol,
     comult,
     is_alternated,
+    make_triple,
     reduce_at,
 )
 from segtriples.cli import main
+
+
+_R = CuspidalSymbol("r", 1, ODD)
+
+
+def odd_triple(cusp, blocks, singles=None, pairs=None):
+    """A triple over cusp with blocks only at the odd symbol r, its
+    singles keyed by block and its pairs by (lower, upper)."""
+    return make_triple(cusp,
+                       [(_R, a) for a in blocks],
+                       {(_R, a): v for a, v in (singles or {}).items()},
+                       {(_R, lo, hi): v for (lo, hi), v in (pairs or {}).items()})
 
 
 def comult_gl(term):

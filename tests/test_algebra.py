@@ -1,16 +1,27 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from segtriples import (
     EVEN,
     ODD,
+    PLUS,
+    AlternatedWitness,
+    ChainStep,
+    CuspidalSupport,
     CuspidalSymbol,
     FormalSum,
     GLTerm,
     GradeError,
+    GSpinTerm,
     HalfInt,
+    JordanTriple,
+    Reduction,
+    ReductionChain,
     Segment,
     comult,
+    induce,
     render_term,
 )
 from helpers import coassoc_sides
@@ -176,6 +187,32 @@ def test_values_are_frozen():
     with pytest.raises(AttributeError):
         del t.segments
     assert t in d
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CuspidalSymbol("r"),
+    lambda: Segment(r, 0, 1),
+    lambda: GLTerm.of(Segment(r, 0, 1)),
+    lambda: induce(Segment(r, 0, 1), GSpinTerm.cuspidal("c0")),
+    lambda: HalfInt(1),
+    lambda: CuspidalSupport("c1", {r: {1}}),
+    lambda: ChainStep(r, 1, 3, PLUS),
+    lambda: ReductionChain(JordanTriple(CuspidalSupport("c0")), ()),
+    lambda: Reduction(r, 1, 3, JordanTriple(CuspidalSupport("c0"))),
+    lambda: AlternatedWitness(()),
+], ids=["CuspidalSymbol", "Segment", "GLTerm", "GSpinTerm", "HalfInt", "CuspidalSupport",
+        "ChainStep", "ReductionChain", "Reduction", "AlternatedWitness"])
+def test_hashable_values_refuse_assignment(make):
+    value = make()
+    d = {value: 1}
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else cls.__slots__
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value in d and d[make()] == 1
 
 
 # -- formal sums -------------------------------------------------------------

@@ -32,7 +32,7 @@ from segtriples import (
     subordinate_reductions,
     triple_text,
 )
-from helpers import condition3_checks
+from helpers import condition3_checks, odd_triple
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -40,13 +40,6 @@ C0 = CuspidalSupport("c0")
 C1 = CuspidalSupport("c1", {r: {1}})
 C17 = CuspidalSupport("c17", {r: {1, 7}})
 SYMBOLS = {"r": r, "q": q}
-
-
-def odd_triple(cusp, blocks, singles=None, pairs=None):
-    return make_triple(cusp,
-                       [(r, a) for a in blocks],
-                       {(r, a): v for a, v in (singles or {}).items()},
-                       {(r, lo, hi): v for (lo, hi), v in (pairs or {}).items()})
 
 
 # -- canonical chains ------------------------------------------------------

@@ -27,6 +27,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
+from helpers import odd_triple
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -34,13 +35,6 @@ C0 = CuspidalSupport("c0")
 C1 = CuspidalSupport("c1", {r: {1}})
 C17 = CuspidalSupport("c17", {r: {1, 7}})
 SYMBOLS = {"r": r, "q": q}
-
-
-def odd_triple(cusp, blocks, singles=None, pairs=None):
-    return make_triple(cusp,
-                       [(r, a) for a in blocks],
-                       {(r, a): v for a, v in (singles or {}).items()},
-                       {(r, lo, hi): v for (lo, hi), v in (pairs or {}).items()})
 
 
 # -- supports and sign domains ----------------------------------------------
@@ -129,6 +123,16 @@ def test_rows_store_pair_signs_only_where_singles_are_undefined():
 def test_constructor_rejects_non_integer_blocks_and_signs(jord, singles, pairs):
     with pytest.raises(ValueError, match="not an integer"):
         JordanTriple(C1, jord, singles, pairs)
+
+
+@pytest.mark.parametrize("jord,singles,pairs", [
+    ([("r", 1)], None, None),
+    ([(r, 1)], {("r", 1): PLUS}, None),
+    ([(r, 1), (r, 3)], None, {("r", 1, 3): PLUS}),
+])
+def test_constructor_rejects_keys_that_are_not_symbols(jord, singles, pairs):
+    with pytest.raises(TypeError, match="^triple keys must be CuspidalSymbol objects$"):
+        JordanTriple(C17, jord, singles, pairs)
 
 
 @pytest.mark.parametrize("v", [0, 5, -2])
