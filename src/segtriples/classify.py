@@ -16,7 +16,7 @@ extension work happens.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 
 from .algebra import CuspidalSymbol, EVEN
 from .triples import (
@@ -30,6 +30,8 @@ from .triples import (
     _pair_error,
     _parse_sign,
     _peels,
+    _Record,
+    _set,
     _sign,
     _sign_char,
     parse_triple,
@@ -38,21 +40,25 @@ from .triples import (
     validate_triple,
 )
 
+# The most triples one enumeration builds; the largest window tested holds 104,931.
+MAX_TRIPLES = 1_000_000
+
 
 class InvalidChainError(ValueError):
     """A chain failed validation; the message lists the violations."""
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    rho: CuspidalSymbol
-    lower: int
-    upper: int
-    sign: int
+class ChainStep(_Record):
+    __slots__ = __match_args__ = ("rho", "lower", "upper", "sign")
+
+    def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, sign: int):
+        _set(self, "rho", rho)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(_Record):
     """A base triple and the steps that extend it, base-up.
 
     Like ``JordanTriple`` it carries a mark that it is valid, set by
@@ -61,9 +67,14 @@ class ReductionChain:
     chain.  The mark is no constructor argument and takes no part in
     equality, hashing, repr or text.
     """
-    base: JordanTriple
-    steps: tuple
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+
+    __slots__ = ("base", "steps", "_valid")
+    __match_args__ = ("base", "steps")
+
+    def __init__(self, base: JordanTriple, steps: tuple):
+        _set(self, "base", base)
+        _set(self, "steps", steps)
+        _set(self, "_valid", False)
 
     def require_valid(self):
         if not self._valid and (problems := chain_violations(self)):
@@ -105,7 +116,7 @@ def chain_violations(chain: ReductionChain) -> list:
                for prev, cur in zip(steps, steps[1:])):
             end, way = ("lower", "increase") if even else ("upper", "decrease")
             problems.append(f"{end} endpoints at {rho.id} must strictly {way} along the chain")
-    object.__setattr__(chain, "_valid", not problems and isinstance(chain.steps, tuple))
+    _set(chain, "_valid", not problems and isinstance(chain.steps, tuple))
     return problems
 
 
@@ -122,7 +133,7 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
         recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
         base = _keep(base, rho, letters, kept)
     chain = ReductionChain(base, tuple(reversed(recorded)))
-    object.__setattr__(chain, "_valid", True)
+    _set(chain, "_valid", True)
     return chain
 
 
@@ -194,23 +205,31 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     support carries blocks at a symbol outside the list.  Raises
     ValueError when a bound is not a nonnegative integer, a
     ``jord_sets`` key names no listed symbol, a listed set holds a
-    block that is not a Jordan block at its symbol or repeats one, or
-    a symbol has neither a ``max_a`` nor a ``jord_sets`` entry.
+    block that is not a Jordan block at its symbol or repeats one, a
+    symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
+    window holds over ``MAX_TRIPLES`` triples (counted before building).
     """
-    window = _window(symbols, max_a, max_jord, jord_sets)
-    if any(rho not in window for rho in cusp.symbols):
-        return []
-    per_symbol = [[rows for blocks in sets for rows in _admissible_rows(cusp, rho, blocks)]
-                  for rho, sets in window.items()]
+    per_symbol = _survivors(cusp, symbols, max_a, max_jord, jord_sets)
+    if (size := math.prod(map(len, per_symbol))) > MAX_TRIPLES:
+        raise ValueError(f"the window holds {size} admissible triples, over the limit of {MAX_TRIPLES}")
     found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()})
              for combo in itertools.product(*per_symbol)]
     found.sort(key=triple_text)
     return found
 
 
+def _survivors(cusp, symbols, max_a, max_jord, jord_sets) -> list:
+    """Per symbol in id order, the rows its peel admits: [[]] if cusp has blocks outside."""
+    window = _window(symbols, max_a, max_jord, jord_sets)
+    if any(rho not in window for rho in cusp.symbols):
+        return [[]]
+    return [[rows for blocks in sets for rows in _admissible_rows(cusp, rho, blocks)]
+            for rho, sets in window.items()]
+
+
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
-    """Admissible sign assignments on one exact block configuration."""
-    return len(enumerate_admissible(cusp, jord, jord_sets={rho.id: [jord[rho]] for rho in jord}))
+    """Admissible sign assignments on one exact block configuration, no triple built."""
+    return math.prod(map(len, _survivors(cusp, jord, None, None, {rho.id: [jord[rho]] for rho in jord})))
 
 
 def dominance_edges(triples) -> list:

@@ -89,10 +89,13 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
 def _enumerate(cfg: RunConfig) -> list:
     if cfg.bounds is None:
         raise ConfigError("this command needs a bounds section in the config")
-    return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
-                                [cfg.symbols[n] for n in cfg.bounds["symbols"]],
-                                cfg.bounds["max_a"], cfg.bounds["max_jord"],
-                                cfg.bounds["jord_sets"])
+    try:
+        return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
+                                    [cfg.symbols[n] for n in cfg.bounds["symbols"]],
+                                    cfg.bounds["max_a"], cfg.bounds["max_jord"],
+                                    cfg.bounds["jord_sets"])
+    except ValueError as exc:  # the window passed its checks at load: it is too large
+        raise ConfigError(str(exc)) from None
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> int:

@@ -26,8 +26,8 @@ here, so the check command can report semantic violations itself.
 from __future__ import annotations
 
 import json
+import os
 import re
-from pathlib import Path
 
 from .algebra import CuspidalSymbol, FormalSum, GLTerm, Segment
 from .classify import _window
@@ -224,7 +224,8 @@ def _load_triples(raw, symbols, supports):
 
 def load_config(path) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(os.fspath(path)) as file:
+            raw = json.load(file)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

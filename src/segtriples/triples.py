@@ -43,12 +43,13 @@ other module builds or reads a row.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .algebra import EVEN, CuspidalSymbol, _immutable
 
 PLUS = 1
 MINUS = -1
+_set = object.__setattr__
 
 
 class InvalidTripleError(ValueError):
@@ -302,12 +303,35 @@ def validate_triple(t: JordanTriple) -> list:
 # -- subordination -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reduction:
-    rho: CuspidalSymbol
-    lower: int
-    upper: int
-    result: JordanTriple
+class _Record:
+    """A frozen slotted record over the fields named in ``__match_args__``: equal
+    only within its own class, hashed to agree, shown as a frozen dataclass is."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Reduction(_Record):
+    __slots__ = __match_args__ = ("rho", "lower", "upper", "result")
+
+    def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, result: JordanTriple):
+        _set(self, "rho", rho)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "result", result)
 
 
 def _plus_pair_word(t: JordanTriple, rho, lower: int, upper: int):
@@ -345,10 +369,13 @@ def subordinate_reductions(t: JordanTriple) -> list:
 # -- alternated type and admissibility -----------------------------------
 
 
-@dataclass(frozen=True)
-class AlternatedWitness:
+class AlternatedWitness(_Record):
     """The sorted matchings block -> cuspidal target, one row per symbol."""
-    matchings: tuple
+
+    __slots__ = __match_args__ = ("matchings",)
+
+    def __init__(self, matchings: tuple):
+        _set(self, "matchings", matchings)
 
     def matching_for(self, rho):
         for sym, rows in self.matchings:

@@ -7,12 +7,14 @@ from segtriples import (
     MINUS,
     ODD,
     PLUS,
+    AlternatedWitness,
     ChainStep,
     CuspidalSupport,
     CuspidalSymbol,
     InvalidChainError,
     JordanTriple,
     NotAdmissibleError,
+    Reduction,
     ReductionChain,
     canonical_chain,
     chain_text,
@@ -232,10 +234,11 @@ def test_a_chain_over_a_list_of_steps_is_checked_at_every_call():
 
 def test_a_marked_chain_is_an_unmarked_chain():
     chain = canonical_chain(user_triple())
-    again = parse_chain(chain_text(chain), C17, SYMBOLS)
-    assert chain._valid and not again._valid
-    assert chain == again and hash(chain) == hash(again)
-    assert repr(chain) == repr(again) and str(chain) == str(again)
+    for again in (parse_chain(chain_text(chain), C17, SYMBOLS),
+                  ReductionChain(chain.base, chain.steps)):
+        assert chain._valid and not again._valid
+        assert chain == again and hash(chain) == hash(again)
+        assert repr(chain) == repr(again) and str(chain) == str(again)
 
 
 def test_condition3_replay_on_a_sample_chain():
@@ -245,6 +248,48 @@ def test_condition3_replay_on_a_sample_chain():
     chain = canonical_chain(t)
     assert realize_chain(chain) == t
     assert condition3_checks(t, chain) >= 1
+
+
+# -- records -----------------------------------------------------------------
+
+
+def fresh(cls):
+    """Arguments for one record, each built anew, so two calls give
+    equal values that share no object."""
+    rho, empty = CuspidalSymbol("r"), JordanTriple(CuspidalSupport("c0"))
+    return {Reduction: (rho, 1, 3, empty),
+            AlternatedWitness: (((rho, ((1, 1),)),),),
+            ChainStep: (rho, 1, 3, PLUS),
+            ReductionChain: (empty, (ChainStep(rho, 1, 3, PLUS),))}[cls]
+
+
+SYMBOL_R = "CuspidalSymbol('r', rank=1, parity='odd')"
+EMPTY_C0 = "JordanTriple<cusp=c0 ; jord= ; single= ; pair=>"
+STEP = f"ChainStep(rho={SYMBOL_R}, lower=1, upper=3, sign=1)"
+RECORDS = [
+    (Reduction, ("rho", "lower", "upper", "result"),
+     f"Reduction(rho={SYMBOL_R}, lower=1, upper=3, result={EMPTY_C0})"),
+    (AlternatedWitness, ("matchings",), f"AlternatedWitness(matchings=(({SYMBOL_R}, ((1, 1),)),))"),
+    (ChainStep, ("rho", "lower", "upper", "sign"), STEP),
+    (ReductionChain, ("base", "steps"), f"ReductionChain(base={EMPTY_C0}, steps=({STEP},))"),
+]
+
+
+@pytest.mark.parametrize("cls,names,text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_record_semantics(cls, names, text):
+    args = fresh(cls)
+    value = cls(*args)
+    assert repr(value) == text
+    keyed = cls(**dict(zip(names, fresh(cls))))
+    assert keyed == value and hash(keyed) == hash(value)
+    for wrong in (args[:-1], args + (None,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    # never equal to another record class, or a tuple, holding the same values
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    for other in (twin(*args), args):
+        assert value != other and other != value
+    assert Reduction(*fresh(ChainStep)) != ChainStep(*fresh(ChainStep))
 
 
 # -- serialization -----------------------------------------------------------
@@ -339,6 +384,14 @@ def test_enumeration_with_explicit_block_sets():
         count_by_jord(C0, {q: {0, 2}})
 
 
+def test_enumeration_refuses_an_oversized_window():
+    # 3,139 x 2,123 rows survive the peel; no triple is built
+    assert segtriples.classify.MAX_TRIPLES == 1_000_000
+    with pytest.raises(ValueError, match="^the window holds 6664097 admissible triples, "
+                                         "over the limit of 1000000$"):
+        enumerate_admissible(C0, [r, q], max_a=17)
+
+
 def test_enumeration_results_are_admissible_and_sorted():
     got = enumerate_admissible(C0, [r, q], max_a=4)
     texts = [triple_text(t) for t in got]
@@ -352,6 +405,7 @@ def test_count_by_jord():
     assert count_by_jord(C0, {r: {1, 3}}) == 2
     assert count_by_jord(C17, {r: {1, 7}}) == 1
     assert count_by_jord(C0, {}) == 1
+    assert count_by_jord(C17, {q: {2, 4}}) == 0  # the support has blocks at r, left out
 
 
 def test_count_by_jord_multiplies_over_symbols():

@@ -30,6 +30,13 @@ DUP_BLOCK = {
     "bounds": {"support": "c0", "symbols": ["q"], "jord_sets": {"q": [[], [2, 2]]}},
 }
 
+# 6,664,097 admissible triples, over the enumeration limit
+OVERSIZED = {
+    "symbols": [{"id": "r", "rank": 1, "parity": "odd"}, {"id": "q", "rank": 2, "parity": "even"}],
+    "supports": [{"id": "c0"}],
+    "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 17},
+}
+
 GOLDEN_RUNS = [
     ("mu_rho.txt", 0,
      ["mu-star", "--config", BASE, "--sigma", "c0", "--seg", "r:[0,0]"]),
@@ -121,6 +128,10 @@ def test_triple_text_source_matches_named_source(command, name, text, head):
      "error: bounds: jord_sets['q']: duplicate block"),
     (["dominance-dag", "--config", DUP_BLOCK],
      "error: bounds: jord_sets['q']: duplicate block"),
+    (["enumerate", "--config", OVERSIZED],
+     "error: the window holds 6664097 admissible triples, over the limit of 1000000\n"),
+    (["dominance-dag", "--config", OVERSIZED],
+     "error: the window holds 6664097 admissible triples, over the limit of 1000000\n"),
 ])
 def test_usage_errors_exit_2(argv, fragment, tmp_path):
     # a dict in argv stands for a config file holding it as JSON
@@ -198,6 +209,17 @@ def test_no_cache_dir_means_no_cache_io(tmp_path, monkeypatch):
         for _ in range(2):
             assert run_cli(argv) == (0, golden, "")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cold_import_leaves_out_heavy_stdlib_modules():
+    # -S keeps the site hooks, which may import these themselves, out of the check
+    src = str(Path(segtriples.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, segtriples.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point_runs_as_subprocess():
