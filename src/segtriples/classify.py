@@ -24,16 +24,18 @@ from .triples import (
     JordanTriple,
     NotAdmissibleError,
     _admissible_rows,
-    _alternation,
     _extend,
     _keep,
+    _line,
     _pair_error,
     _parse_sign,
     _peels,
     _Record,
+    _row_items,
     _set,
     _sign,
     _sign_char,
+    is_alternated,
     parse_triple,
     subordinate_reductions,
     triple_text,
@@ -94,7 +96,7 @@ def chain_violations(chain: ReductionChain) -> list:
     found and the steps are a tuple, which cannot change afterwards.
     """
     problems = [f"base: {p}" for p in validate_triple(chain.base)]
-    if not problems and _alternation(chain.base) is None:
+    if not problems and is_alternated(chain.base) is None:
         problems.append("base triple is not of alternated type")
     by_rho = {}
     for i, step in enumerate(chain.steps):
@@ -208,12 +210,15 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     block that is not a Jordan block at its symbol or repeats one, a
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (counted before building).
+    Each triple keeps its text, joined from items made once per row.
     """
     per_symbol = _survivors(cusp, symbols, max_a, max_jord, jord_sets)
     if (size := math.prod(map(len, per_symbol))) > MAX_TRIPLES:
         raise ValueError(f"the window holds {size} admissible triples, over the limit of {MAX_TRIPLES}")
-    found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()})
-             for combo in itertools.product(*per_symbol)]
+    items = [[_row_items(cusp, rows) for rows in survivors] for survivors in per_symbol]
+    found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()},
+                                   _line(cusp, parts))
+             for combo, parts in zip(itertools.product(*per_symbol), itertools.product(*items))]
     found.sort(key=triple_text)
     return found
 
@@ -233,19 +238,14 @@ def count_by_jord(cusp: CuspidalSupport, jord) -> int:
 
 
 def dominance_edges(triples) -> list:
-    """One-step subordination edges inside the given node set.
+    """One-step subordination edges among any iterable of triples, read once.
 
     Returns sorted (parent_text, child_text) pairs; the caller decides
-    whether the node set is closed under reduction.  A mapping from each
-    triple to its canonical text saves rendering the texts again.
+    whether the node set is closed under reduction.
     """
-    texts = triples if isinstance(triples, dict) else {t: triple_text(t) for t in triples}
-    edges = set()
-    for t in triples:
-        for red in subordinate_reductions(t):
-            if red.result in texts:
-                edges.add((texts[t], texts[red.result]))
-    return sorted(edges)
+    texts = {t: triple_text(t) for t in triples}
+    return sorted({(text, texts[red.result]) for t, text in texts.items()
+                   for red in subordinate_reductions(t) if red.result in texts})
 
 
 # -- canonical text form --------------------------------------------------

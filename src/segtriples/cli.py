@@ -152,11 +152,11 @@ def _cmd_jord_update(cfg: RunConfig, args) -> int:
 
 
 def _cmd_dominance_dag(cfg: RunConfig, args) -> int:
-    texts = {t: triple_text(t) for t in _enumerate(cfg)}
+    nodes = _enumerate(cfg)
     print("digraph dominance {")
-    for text in texts.values():
-        print(f'  "{text}";')
-    for parent, child in dominance_edges(texts):
+    for t in nodes:
+        print(f'  "{triple_text(t)}";')
+    for parent, child in dominance_edges(nodes):
         print(f'  "{parent}" -> "{child}";')
     print("}")
     return 0

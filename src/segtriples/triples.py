@@ -118,25 +118,28 @@ def singles_defined(cusp: CuspidalSupport, rho: CuspidalSymbol) -> bool:
 
 
 class JordanTriple:
-    """An immutable triple (blocks, support, signs), one row per symbol.
+    """A triple (blocks, support, signs), one row per symbol.
 
     ``rows`` maps each symbol with data, in id order, to ``(blocks,
     singles, pairs)``: the sorted blocks, the single signs by block and
-    the pair signs by (lower, upper); rows are shared, never mutated.
-    Where singles are defined, pair signs are derived by the product
-    rule (``pair``, ``pairs``) and not stored; a pair given there is
-    kept only for ``validate_triple`` to report.  The constructor
-    rejects a symbol that is not a ``CuspidalSymbol`` (TypeError),
-    non-integer blocks, and signs other than +1 and -1, and
-    canonicalizes, but does not validate.  A triple carries a mark that
-    it is valid: the library's own builders (``_of_rows``, behind every
-    reduction, extension and enumeration result) set it on rows they
-    made valid, and so does a ``validate_triple`` that finds nothing;
-    ``require_valid`` checks only an unmarked triple.  The mark takes no
-    part in equality, hashing or text.
+    the pair signs by (lower, upper); the library shares rows and never
+    mutates them.  Where singles are defined, pair signs are derived by
+    the product rule (``pair``, ``pairs``) and not stored; a pair given
+    there is kept only for ``validate_triple`` to report.  The
+    constructor rejects a symbol that is not a ``CuspidalSymbol``
+    (TypeError), non-integer blocks, and signs other than +1 and -1,
+    and canonicalizes, but does not validate.  A triple carries a mark
+    that it is valid: the library's own builders (``_of_rows``, behind
+    every reduction, extension and enumeration result) set it on rows
+    they made valid, and so does a ``validate_triple`` that finds
+    nothing; ``require_valid`` checks only an unmarked triple.  An
+    enumerated triple also keeps its canonical text for ``triple_text``.
+    Neither takes part in equality, hashing or ``repr``.  Nothing is
+    frozen: a caller must not assign a field or mutate a row map, which
+    would void the mark and the kept text.
     """
 
-    __slots__ = ("cusp", "rows", "_valid")
+    __slots__ = ("cusp", "rows", "_valid", "_text")
 
     def __init__(self, cusp: CuspidalSupport, jord=(), singles=None, pairs=None):
         if not isinstance(cusp, CuspidalSupport):
@@ -159,15 +162,17 @@ class JordanTriple:
             derived = _pair_signs(cusp, rho, (blocks, signs, {}))
             self.rows[rho] = (blocks, signs, {k: v for k, v in pairs.items() if derived.get(k) != v})
         self._valid = False
+        self._text = None
 
     @classmethod
-    def _of_rows(cls, cusp, rows):
-        """A triple marked valid over rows already canonical and valid;
-        they are shared, not copied."""
+    def _of_rows(cls, cusp, rows, text=None):
+        """A triple marked valid over rows already canonical and valid,
+        shared, not copied; it keeps ``text`` as their canonical text."""
         t = object.__new__(cls)
         t.cusp = cusp
         t.rows = rows
         t._valid = True
+        t._text = text
         return t
 
     # -- accessors ---------------------------------------------------
@@ -403,12 +408,7 @@ def is_alternated(t: JordanTriple):
     block set to match the cuspidal target, so a nonempty target there
     rules the witness out.
     """
-    return _alternation(t.require_valid())
-
-
-def _alternation(t: JordanTriple):
-    """``is_alternated`` for a valid triple: no symbol's peel removes a pair or misses."""
-    peels = _peels(t)
+    peels = _peels(t.require_valid())
     if peels is None or any(removals for _, _, removals, _ in peels):
         return None
     return AlternatedWitness(tuple((rho, tuple(zip(kept, sorted(cuspidal_target(t, rho)))))
@@ -601,18 +601,24 @@ def _sign_char(v: int) -> str:
     return "+" if v == PLUS else "-"
 
 
+def _row_items(cusp, rows) -> tuple:
+    """The jord, single and pair items of a row map over cusp in text order, each led by a space."""
+    return ("".join(f" {rho.id}:{a}" for rho, (blocks, _, _) in rows.items() for a in blocks),
+            "".join(f" {rho.id}:{a}:{_sign_char(v)}" for rho, (_, signs, _) in rows.items()
+                    for a, v in sorted(signs.items())),
+            "".join(f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for rho, row in rows.items()
+                    for (lo, hi), v in sorted(_pair_signs(cusp, rho, row).items())))
+
+
+def _line(cusp, parts) -> str:
+    """The canonical line over cusp of the ``_row_items`` of row maps in symbol id order."""
+    jord, single, pair = map("".join, zip(("", "", ""), *parts))
+    return f"cusp={cusp.id} ; jord={jord} ; single={single} ; pair={pair}"
+
+
 def triple_text(t: JordanTriple) -> str:
     """Canonical one-line serialization; parse_triple inverts it."""
-    def section(tag, body):
-        return f"{tag}= {body}" if body else f"{tag}="
-
-    rows = t.rows.items()
-    jord = " ".join(f"{rho.id}:{a}" for rho, (blocks, _, _) in rows for a in blocks)
-    singles = " ".join(f"{rho.id}:{a}:{_sign_char(v)}" for rho, (_, signs, _) in rows
-                       for a, v in sorted(signs.items()))
-    pairs = " ".join(f"{rho.id}:{lo}:{hi}:{_sign_char(v)}" for (rho, lo, hi), v in t.pairs)
-    return " ; ".join([f"cusp={t.cusp.id}", section("jord", jord),
-                       section("single", singles), section("pair", pairs)])
+    return t._text or _line(t.cusp, [_row_items(t.cusp, t.rows)])
 
 
 def _parse_sign(ch: str) -> int:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import segtriples.classify
@@ -34,7 +36,7 @@ from segtriples import (
     subordinate_reductions,
     triple_text,
 )
-from helpers import condition3_checks, odd_triple
+from helpers import condition3_checks, odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -423,6 +425,82 @@ def test_dominance_edges():
     for parent, child in edges:
         assert parent in texts and child in texts
         assert "q:2 q:4" in parent and "jord= ;" in child
+
+
+def test_dominance_edges_read_any_iterable_of_triples_once():
+    nodes = enumerate_admissible(C0, [q], jord_sets={"q": [[], [2, 4]]})
+    edges = dominance_edges(nodes)
+    assert len(edges) == 2
+    assert dominance_edges(tuple(nodes)) == edges
+    assert dominance_edges(iter(nodes)) == edges
+    # a mapping is read for its keys only; the texts come from the triples
+    assert dominance_edges(dict.fromkeys(nodes, "stale")) == edges
+
+
+# -- the enumeration's kept texts --------------------------------------------
+
+
+@pytest.mark.parametrize("cusp,symbols,max_a,count", [
+    (C0, [r, q], 11, 13_536),  # two-digit blocks: r:11 sorts before r:3
+    (C17, [r], 13, 266),
+])
+def test_enumerated_triples_keep_their_canonical_text(cusp, symbols, max_a, count):
+    got = enumerate_admissible(cusp, symbols, max_a=max_a)
+    assert len(got) == count
+    texts = [triple_text(t) for t in got]
+    assert texts == sorted(texts)
+    for t, text in zip(got, texts):
+        fresh = JordanTriple._of_rows(t.cusp, t.rows)
+        assert t._text == text and fresh._text is None
+        assert text == triple_text(fresh)
+
+
+def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
+    t = enumerate_admissible(C0, [r], max_a=5)[-1]
+    fresh = JordanTriple._of_rows(t.cusp, t.rows)
+    assert t._text is not None
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    # a step's result is built from rows and renders afresh
+    red = subordinate_reductions(t)[0]
+    assert red.result._text is None
+
+
+@pytest.fixture
+def row_items_calls(monkeypatch):
+    """A list that grows by one at each call of ``triples._row_items``."""
+    calls = []
+    row_items = segtriples.triples._row_items
+
+    def counted(cusp, rows):
+        calls.append(rows)
+        return row_items(cusp, rows)
+
+    monkeypatch.setattr(segtriples.triples, "_row_items", counted)
+    monkeypatch.setattr(segtriples.classify, "_row_items", counted)
+    return calls
+
+
+def test_enumeration_writes_each_surviving_row_once(row_items_calls, tmp_path):
+    per_symbol = [len(enumerate_admissible(C0, [rho], max_a=7)) for rho in (q, r)]
+    row_items_calls.clear()
+    got = enumerate_admissible(C0, [r, q], max_a=7)
+    assert len(got) == per_symbol[0] * per_symbol[1]
+    assert len(row_items_calls) == sum(per_symbol) < len(got)
+    config = tmp_path / "window.json"
+    config.write_text(json.dumps({
+        "symbols": [{"id": "r", "rank": 1, "parity": "odd"}, {"id": "q", "rank": 2, "parity": "even"}],
+        "supports": [{"id": "c0"}],
+        "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 7}}))
+    for command in ("enumerate", "dominance-dag"):
+        row_items_calls.clear()
+        code, out, err = run_cli([command, "--config", str(config)])
+        assert code == 0, err
+        assert out.count("cusp=c0") >= len(got)
+        assert len(row_items_calls) <= sum(per_symbol)
+    row_items_calls.clear()
+    with pytest.raises(ValueError, match="over the limit"):
+        enumerate_admissible(C0, [r, q], max_a=17)
+    assert row_items_calls == []
 
 
 def test_round_trip_across_an_enumeration():
