@@ -32,6 +32,10 @@ class GradeError(ValueError):
     """Raised when formal sums from different grades are combined."""
 
 
+class SizeLimitError(ValueError):
+    """An input whose work would pass a documented size limit, refused before any of it."""
+
+
 class CuspidalSymbol:
     """An irreducible self-dual cuspidal placeholder.
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import CuspidalSymbol, EVEN
+from .algebra import EVEN, CuspidalSymbol, SizeLimitError
+from .structural import _collector_paused
 from .triples import (
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
     _admissible_rows,
+    _admitted_ends,
     _extend,
     _keep,
     _line,
@@ -160,9 +162,9 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 
 def _window(symbols, max_a, max_jord, jord_sets) -> dict:
-    """Each symbol's candidate block sets, in id order: the sets that
-    ``jord_sets`` lists for it, sorted, or else, lazily, every set of
-    at most ``max_jord`` blocks from ``rho.blocks_upto(max_a)``."""
+    """Each symbol's candidate block sets, in id order, in groups ``(n, how_many, sets)``
+    by size n: each set ``jord_sets`` lists for it, sorted, or else, lazily,
+    every set of at most ``max_jord`` blocks from ``rho.blocks_upto(max_a)``."""
     for name, bound in (("max_a", max_a), ("max_jord", max_jord)):
         if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
@@ -173,15 +175,24 @@ def _window(symbols, max_a, max_jord, jord_sets) -> dict:
     window = {}
     for name, rho in ids.items():
         if name in jord_sets:
-            window[rho] = [_block_set(rho, blocks, f"jord_sets[{name!r}]") for blocks in jord_sets[name]]
+            sets = [_block_set(rho, blocks, f"jord_sets[{name!r}]") for blocks in jord_sets[name]]
+            window[rho] = [(len(blocks), 1, (blocks,)) for blocks in sets]
         elif max_a is None:
             raise ValueError(f"no max_a and no jord_sets entry for {name!r}")
         else:
             pool = rho.blocks_upto(max_a)
             top = len(pool) if max_jord is None else min(max_jord, len(pool))
-            window[rho] = itertools.chain.from_iterable(
-                map(itertools.combinations, itertools.repeat(pool), range(top + 1)))
+            window[rho] = [(n, math.comb(len(pool), n), itertools.combinations(pool, n))
+                           for n in range(top + 1)]
     return window
+
+
+def _window_size(cusp, window) -> int:
+    """The admissible triples of a ``_window``, from its admitted ends; 0 if cusp has blocks outside."""
+    if any(rho not in window for rho in cusp.symbols):
+        return 0
+    return math.prod(sum(how_many * math.comb(n, (n + e) // 2) for n, how_many, _ in groups
+                         for e in _admitted_ends(cusp, rho, n)) for rho, groups in window.items())
 
 
 def _block_set(rho, blocks, where) -> tuple:
@@ -209,32 +220,29 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     ``jord_sets`` key names no listed symbol, a listed set holds a
     block that is not a Jordan block at its symbol or repeats one, a
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
-    window holds over ``MAX_TRIPLES`` triples (counted before building).
-    Each triple keeps its text, joined from items made once per row.
+    window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first).
+    Each triple keeps its text, joined from items made once per row; the build
+    pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none.
     """
-    per_symbol = _survivors(cusp, symbols, max_a, max_jord, jord_sets)
-    if (size := math.prod(map(len, per_symbol))) > MAX_TRIPLES:
-        raise ValueError(f"the window holds {size} admissible triples, over the limit of {MAX_TRIPLES}")
-    items = [[_row_items(cusp, rows) for rows in survivors] for survivors in per_symbol]
-    found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()},
-                                   _line(cusp, parts))
-             for combo, parts in zip(itertools.product(*per_symbol), itertools.product(*items))]
-    found.sort(key=triple_text)
+    window = _window(symbols, max_a, max_jord, jord_sets)
+    if (size := _window_size(cusp, window)) > MAX_TRIPLES:
+        raise SizeLimitError(f"the window holds {size} admissible triples, over the limit of {MAX_TRIPLES}")
+    if not size:
+        return []
+    with _collector_paused():
+        per_symbol = [[rows for _, _, sets in groups for blocks in sets
+                       for rows in _admissible_rows(cusp, rho, blocks)] for rho, groups in window.items()]
+        items = [[_row_items(cusp, rows) for rows in survivors] for survivors in per_symbol]
+        found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()},
+                                       _line(cusp, parts))
+                 for combo, parts in zip(itertools.product(*per_symbol), itertools.product(*items))]
+        found.sort(key=triple_text)
     return found
 
 
-def _survivors(cusp, symbols, max_a, max_jord, jord_sets) -> list:
-    """Per symbol in id order, the rows its peel admits: [[]] if cusp has blocks outside."""
-    window = _window(symbols, max_a, max_jord, jord_sets)
-    if any(rho not in window for rho in cusp.symbols):
-        return [[]]
-    return [[rows for blocks in sets for rows in _admissible_rows(cusp, rho, blocks)]
-            for rho, sets in window.items()]
-
-
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
-    """Admissible sign assignments on one exact block configuration, no triple built."""
-    return math.prod(map(len, _survivors(cusp, jord, None, None, {rho.id: [jord[rho]] for rho in jord})))
+    """Admissible sign assignments on one exact block configuration, no row built."""
+    return _window_size(cusp, _window(jord, None, None, {rho.id: [jord[rho]] for rho in jord}))
 
 
 def dominance_edges(triples) -> list:

@@ -3,8 +3,8 @@
 Every subcommand takes --config pointing at a JSON run configuration
 (see config.py) and prints deterministic plain text, so outputs can be
 diffed across runs.  Exit status: 0 on success, 1 on a domain error
-(invalid triple, inadmissible input, precondition failure), 2 on a
-usage or config error (bad flags, unknown names, malformed specs).
+(invalid triple, inadmissible input, precondition failure), 2 on a usage
+or config error (bad flags, unknown names, malformed specs, oversized input).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import EVEN, ODD, CuspidalSymbol, render_term
+from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError, render_term
 from .classify import (
     canonical_chain,
     chain_text,
@@ -89,13 +89,9 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
 def _enumerate(cfg: RunConfig) -> list:
     if cfg.bounds is None:
         raise ConfigError("this command needs a bounds section in the config")
-    try:
-        return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
-                                    [cfg.symbols[n] for n in cfg.bounds["symbols"]],
-                                    cfg.bounds["max_a"], cfg.bounds["max_jord"],
-                                    cfg.bounds["jord_sets"])
-    except ValueError as exc:  # the window passed its checks at load: it is too large
-        raise ConfigError(str(exc)) from None
+    return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
+                                [cfg.symbols[n] for n in cfg.bounds["symbols"]],
+                                cfg.bounds["max_a"], cfg.bounds["max_jord"], cfg.bounds["jord_sets"])
 
 
 def _cmd_enumerate(cfg: RunConfig, args) -> int:
@@ -226,7 +222,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(cfg, args)
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -28,8 +28,11 @@ import gc
 from contextlib import contextmanager
 from operator import attrgetter
 
-from .algebra import FormalSum, GLTerm, GradeError, Segment, _immutable
+from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable
 from .halfint import HalfInt
+
+# The most base rows one expansion visits; depth 5 of r:[-1,2] over a cuspidal leaf visits 253,800.
+MAX_ROWS = 1_000_000
 
 
 class GSpinTerm:
@@ -214,12 +217,15 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     conserved term by term, and the unique unit-left term is
     1 (x) (seg |x base) with coefficient one.  The expansion is
     registered in ``table``, and a node already there is looked up.
+    Over ``MAX_ROWS`` rows to visit, (pairs i <= j) x base rows, raise ``SizeLimitError`` first.
     """
     if seg.is_empty:
         raise ValueError("induction by the empty segment expands nothing new")
     node = induce(seg, base)
     if node in table:
         return table.lookup(node)
+    if (visits := (seg.length + 1) * (seg.length + 2) // 2 * len(table.lookup(base))) > MAX_ROWS:
+        raise SizeLimitError(f"the expansion visits {visits} base rows, over the limit of {MAX_ROWS}")
     with _collector_paused():
         # base rows grouped by their GL leg, so each product is merged once,
         # each naming its induced leg by its index in ``legs``

@@ -36,8 +36,8 @@ the stack reduction of each row's word, decides admissibility; and t
 dominates u exactly when u is t cut down to some of its blocks and
 each run of blocks of t that u lacks reduces to the empty word.
 ``_peels`` walks the peel over a triple's symbols for every reader,
-``_admissible_rows`` lists the rows it admits on one block set, and no
-other module builds or reads a row.
+``_admissible_rows`` builds the rows it admits from ``_admitted_ends``,
+peeling none, and no other module builds or reads a row.
 """
 
 from __future__ import annotations
@@ -465,16 +465,37 @@ def _peels(t: JordanTriple):
     return peels
 
 
+def _admitted_ends(cusp, rho, n: int) -> tuple:
+    """Where the walks of the words the peel admits on n blocks at rho end:
+    read a word, lowest block first, as a walk from 0 on the line, the
+    Cayley graph of Z/2 * Z/2: a +1 letter steps up from an even point
+    and down from an odd one, a -1 letter the reverse.  Equal adjacent
+    letters are a step and its undo, so the stack reduction is the
+    shortest path to the end e: |e| alternating letters, the lowest +1
+    iff e > 0; C(n, (n + e)/2) words end at e.  With t cuspidal blocks
+    at rho, an odd symbol keeps t: e = t (t = 0 with singles; a row
+    without is a word up to sign, and negation negates the walk); an
+    even one keeps t (e = -t), or t + 1 if the lowest is +1 (e = t + 1).
+    """
+    t = len(cusp.jord_of(rho))
+    ends = (-t, t + 1) if rho.parity == EVEN else (t,)
+    return tuple(e for e in ends if abs(e) <= n and (n - e) % 2 == 0)
+
+
 def _admissible_rows(cusp, rho, blocks):
-    """Every row at rho over cusp on exactly these sorted blocks that
-    the canonical peel admits, signed on the singles where defined,
-    else on the pairs; each as a row map, empty for no blocks."""
+    """Every row at rho over cusp on exactly these sorted blocks that the peel admits, signed
+    on the singles where defined, else on the pairs, as a row map (empty for no blocks):
+    one per choice of up steps of a walk to an admitted end; step i leaves parity i."""
+    n = len(blocks)
     derive = singles_defined(cusp, rho)
-    keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
-    for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
-        signs = dict(zip(keys, bits))
-        row = (blocks, signs, {}) if derive else (blocks, {}, signs)
-        if _peel(cusp, rho, row) is not None:
+    down = [MINUS if i % 2 == 0 else PLUS for i in range(n)]
+    for e in _admitted_ends(cusp, rho, n):
+        for ups in itertools.combinations(range(n), (n + e) // 2):
+            letters = down.copy()
+            for i in ups:
+                letters[i] = -letters[i]
+            row = ((blocks, dict(zip(blocks, letters)), {}) if derive else (blocks, {}, {
+                (lo, hi): v * w for lo, hi, v, w in zip(blocks, blocks[1:], letters, letters[1:])}))
             yield {rho: row} if blocks else {}
 
 

@@ -14,15 +14,16 @@ every window.  The chain that ``canonical_chain`` reads off each
 symbol's sign word must be the chain of ``is_admissible`` with
 ``linking_sign`` attached, the peel must follow its rule step by step
 on larger random triples, ``dominates`` must build the search's first
-chain, and per symbol the number of survivors is a binomial in the
-block count.  Every triple and chain the library builds carries a mark
-that lets ``require_valid`` skip it; each one it emits over the windows
-and on random triples must pass the full check.
+chain.  Per symbol, the rows the library builds on a block set, and
+their count, must be the rows that filtering all sign words through
+the peel keeps (``reference_rows``).  Every triple and chain the
+library builds carries a mark that lets ``require_valid`` skip it;
+each one it emits over the windows and on random triples must pass the
+full check.
 """
 
 import contextlib
 import itertools
-import math
 import random
 
 import pytest
@@ -54,7 +55,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
-from segtriples.triples import cuspidal_target
+from segtriples.triples import _admissible_rows, _peel, cuspidal_target
 from helpers import gap_insertions
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -355,13 +356,36 @@ def test_dominates_builds_the_first_chain_of_the_search(pair):
         assert chain == reference_dominates(t, other)
 
 
-def binomial_count(parity, n, t):
-    """Admissible sign assignments on n blocks at one symbol over t
-    cuspidal blocks there: the word of n signs must reduce to t letters,
-    or at an even symbol also to t + 1 when the lowest survivor is +1."""
-    if n < t or (parity != EVEN and (n - t) % 2):
-        return 0
-    return math.comb(n, (n - t) // 2)
+def reference_rows(cusp, rho, blocks):
+    """Every row at rho over cusp on the sorted blocks that the peel
+    admits, by filtering all sign words: the singles where defined, else
+    the pairs, each signed in every way; as ``_admissible_rows`` gives them."""
+    derive = singles_defined(cusp, rho)
+    keys = blocks if derive else tuple(zip(blocks, blocks[1:]))
+    for bits in itertools.product((PLUS, MINUS), repeat=len(keys)):
+        signs = dict(zip(keys, bits))
+        row = (blocks, signs, {}) if derive else (blocks, {}, signs)
+        if _peel(cusp, rho, row) is not None:
+            yield {rho: row} if blocks else {}
+
+
+def frozen_rows(rows):
+    """A row map as a hashable value."""
+    return tuple((rho, blocks, tuple(sorted(singles.items())), tuple(sorted(pairs.items())))
+                 for rho, (blocks, singles, pairs) in rows.items())
+
+
+@pytest.mark.parametrize("cusp", [C0, C1, C17, BOTH, R3Q24, Q6], ids=lambda c: c.id)
+@pytest.mark.parametrize("rho", [r, q], ids=lambda s: s.id)
+def test_admissible_rows_are_the_filtered_rows(cusp, rho):
+    rnd = random.Random(f"{cusp.id}{rho.id}")
+    pool = rho.blocks_upto(31)
+    for n in range(11):
+        for _ in range(2):
+            blocks = tuple(sorted(rnd.sample(pool, n)))
+            built = [frozen_rows(rows) for rows in _admissible_rows(cusp, rho, blocks)]
+            assert len(set(built)) == len(built), blocks
+            assert set(built) == {frozen_rows(rows) for rows in reference_rows(cusp, rho, blocks)}, blocks
 
 
 @pytest.mark.parametrize("rho, t", [(r, 0), (r, 1), (r, 2), (r, 3), (q, 0), (q, 1), (q, 2)])
@@ -372,4 +396,5 @@ def test_count_by_jord_is_a_binomial(rho, t):
         for _ in range(2):
             cusp = CuspidalSupport("c", {rho: rnd.sample(pool, t)})
             blocks = rnd.sample(pool, n)
-            assert count_by_jord(cusp, {rho: blocks}) == binomial_count(rho.parity, n, t), (cusp, blocks)
+            want = len(list(reference_rows(cusp, rho, tuple(sorted(blocks)))))
+            assert count_by_jord(cusp, {rho: blocks}) == want, (cusp, blocks)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -36,6 +37,7 @@ from segtriples import (
     subordinate_reductions,
     triple_text,
 )
+from segtriples.algebra import SizeLimitError
 from helpers import condition3_checks, odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -392,6 +394,41 @@ def test_enumeration_refuses_an_oversized_window():
     with pytest.raises(ValueError, match="^the window holds 6664097 admissible triples, "
                                          "over the limit of 1000000$"):
         enumerate_admissible(C0, [r, q], max_a=17)
+
+
+@pytest.fixture
+def row_work(monkeypatch):
+    """A list that grows by one at each call of ``triples._admissible_rows`` or ``triples._peel``."""
+    calls = []
+    admissible_rows, peel = segtriples.triples._admissible_rows, segtriples.triples._peel
+
+    def counted_rows(*args):
+        calls.append("_admissible_rows")
+        return admissible_rows(*args)
+
+    def counted_peel(*args):
+        calls.append("_peel")
+        return peel(*args)
+
+    monkeypatch.setattr(segtriples.triples, "_admissible_rows", counted_rows)
+    monkeypatch.setattr(segtriples.classify, "_admissible_rows", counted_rows)
+    monkeypatch.setattr(segtriples.triples, "_peel", counted_peel)
+    return calls
+
+
+def test_a_refusal_builds_and_peels_no_row(row_work):
+    # 25,653 x 17,303 triples: counted from the admitted end points alone
+    with pytest.raises(SizeLimitError, match="^the window holds 443873859 admissible triples, "
+                                             "over the limit of 1000000$"):
+        enumerate_admissible(C0, [r, q], max_a=21)
+    # C(24, 12) rows on one explicit set of 24 blocks
+    with pytest.raises(SizeLimitError, match="^the window holds 2704156 admissible triples"):
+        enumerate_admissible(C0, [q], jord_sets={"q": [range(2, 50, 2)]})
+    assert count_by_jord(C0, {q: range(2, 402, 2)}) == math.comb(200, 100)
+    assert row_work == []
+    # a window inside the limit builds its rows without peeling any
+    assert len(enumerate_admissible(C0, [r, q], max_a=7)) > 0
+    assert "_admissible_rows" in row_work and "_peel" not in row_work
 
 
 def test_enumeration_results_are_admissible_and_sorted():

@@ -132,6 +132,11 @@ def test_triple_text_source_matches_named_source(command, name, text, head):
      "error: the window holds 6664097 admissible triples, over the limit of 1000000\n"),
     (["dominance-dag", "--config", OVERSIZED],
      "error: the window holds 6664097 admissible triples, over the limit of 1000000\n"),
+    (["enumerate", "--config", {**OVERSIZED, "bounds": {**OVERSIZED["bounds"], "max_a": 21}}],
+     "error: the window holds 443873859 admissible triples, over the limit of 1000000\n"),
+    # 2001 x 2002 / 2 pairs i <= j over the one row of the cuspidal leaf
+    (["mu-star", "--config", BASE, "--sigma", "c0", "--seg", "r:[-1000,1000]"],
+     "error: the expansion visits 2005003 base rows, over the limit of 1000000\n"),
 ])
 def test_usage_errors_exit_2(argv, fragment, tmp_path):
     # a dict in argv stands for a config file holding it as JSON

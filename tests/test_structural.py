@@ -25,6 +25,8 @@ from segtriples import (
     comult,
     induce,
 )
+from segtriples import structural
+from segtriples.algebra import SizeLimitError
 from segtriples.config import load_config
 from helpers import comult_gl
 
@@ -349,6 +351,21 @@ def test_trusted_terms_equal_and_hash_as_publicly_built_ones():
                     assert x == rebuilt and x.key == rebuilt.key
                 checked += 1
     assert checked > 1000
+
+
+def test_expansion_refuses_a_sum_over_the_row_limit_before_any_work(table):
+    # the double sum visits (pairs i <= j) x (base rows) rows; r:[-1,2] has 15 pairs,
+    # so depth 5 visits 15 x 16,920 rows and depth 6 would visit 15 x 169,326
+    assert structural.MAX_ROWS == 1_000_000
+    with pytest.raises(SizeLimitError, match="^the expansion visits 2005003 base rows, "
+                                             "over the limit of 1000000$"):
+        expand_induced(Segment(r, -1000, 1000), C0, table)  # 2,005,003 pairs over one row
+    assert induce(Segment(r, -1000, 1000), C0) not in table and gc.isenabled()
+    base = induce(Segment(q, 0, 0), C0)
+    expand_induced(Segment(q, 0, 0), C0, table)  # two rows
+    with pytest.raises(SizeLimitError, match="^the expansion visits 1001000 base rows"):
+        expand_induced(Segment(r, 0, 998), base, table)  # 500,500 pairs over two rows
+    assert induce(Segment(r, 0, 998), base) not in table
 
 
 def test_gspin_terms_are_frozen():
