@@ -4,9 +4,10 @@ The basic objects are segments: intervals of consecutive twists
 [nu^a rho, nu^b rho] of a fixed self-dual cuspidal symbol rho.  Products
 of segments span the positive cone of the Grothendieck group, and the
 comultiplication sends a segment to the sum of its suffix (x) prefix
-splittings.  Everything here is exact integer combinatorics: symbols and
-terms are frozen (assigning an attribute raises AttributeError), sums
-are multisets with positive integer coefficients.  Each term type
+splittings.  Everything here is exact integer combinatorics: symbols,
+terms and sums are frozen (assigning an attribute raises
+AttributeError), and sums are multisets with positive integer
+coefficients.  Each term type
 builds one ``key`` over doubled integers that decides equality, hashing
 and order; GL terms hash their key once, when built.  HalfInt appears
 only where endpoints are given or read, and a sum sorts its terms only
@@ -16,6 +17,8 @@ The public constructors check what they are given.  Products of GL terms
 do not check again: both factors are already valid and sorted, so
 ``GLTerm.__mul__`` merges their key tuples and builds the result through
 the trusted ``GLTerm._trusted``, which neither sorts nor checks.
+``Segment._trusted`` and ``FormalSum._trusted`` likewise take values a
+caller has built valid.
 """
 
 from __future__ import annotations
@@ -117,6 +120,15 @@ class Segment:
             raise ValueError(f"segment [{a},{b}] is shorter than empty")
         _set_rho(self, rho)
         _set_seg_key(self, (rho.id, a.twice, b.twice))
+
+    @classmethod
+    def _trusted(cls, rho: CuspidalSymbol, key: tuple) -> "Segment":
+        """A segment from its symbol and a key (rho.id, 2a, 2b) of span
+        at least -1; nothing is checked."""
+        self = object.__new__(cls)
+        _set_rho(self, rho)
+        _set_seg_key(self, key)
+        return self
 
     @property
     def a(self) -> HalfInt:
@@ -293,11 +305,12 @@ class FormalSum:
 
     Terms are either GLTerm (plain grade) or 2-tuples for tensor grades;
     all coefficients are positive, and a missing term has coefficient 0.
-    Sums are immutable: arithmetic returns new objects.  ``terms`` is
-    the canonical order, used to render; iteration is unordered.
+    Sums are frozen: arithmetic returns new objects.  ``terms`` is the
+    canonical order, used to render; iteration is unordered.
     """
 
     __slots__ = ("_coeffs",)
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, coeffs=None):
         is_dict = isinstance(coeffs, dict)
@@ -311,7 +324,15 @@ class FormalSum:
                 data[term] = data.get(term, 0) + c
         if 0 in data.values():
             data = {term: c for term, c in data.items() if c}
-        self._coeffs = data
+        _set_coeffs(self, data)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict) -> "FormalSum":
+        """A sum that takes ownership of a dict of positive integer
+        coefficients; nothing is copied or checked."""
+        self = object.__new__(cls)
+        _set_coeffs(self, coeffs)
+        return self
 
     @classmethod
     def of(cls, term, coeff: int = 1) -> "FormalSum":
@@ -385,6 +406,9 @@ def render_term(term, coeff: int = 1) -> str:
     if coeff == 1:
         return body
     return f"{coeff} * {body}"
+
+
+_set_coeffs = FormalSum._coeffs.__set__
 
 
 def comult(seg: Segment) -> FormalSum:

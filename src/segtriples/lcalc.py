@@ -15,7 +15,7 @@ them against each other; the analytic route is the oracle.
 from __future__ import annotations
 
 from .algebra import CuspidalSymbol
-from .halfint import HalfInt
+from .halfint import HalfInt, _immutable
 
 
 class PreconditionError(ValueError):
@@ -24,13 +24,15 @@ class PreconditionError(ValueError):
 
 class LRatio:
     """The ratio L(s + num_shift) / L(s + den_shift) of one self-dual
-    Rankin-Selberg L-function, which has a single simple pole at 0."""
+    Rankin-Selberg L-function, which has a single simple pole at 0.
+    Ratios are frozen."""
 
     __slots__ = ("numerator_shift", "denominator_shift")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, numerator_shift, denominator_shift):
-        self.numerator_shift = HalfInt(numerator_shift)
-        self.denominator_shift = HalfInt(denominator_shift)
+        _set_numerator(self, HalfInt(numerator_shift))
+        _set_denominator(self, HalfInt(denominator_shift))
 
     def order_at_zero(self) -> int:
         """+1 for a pole, -1 for a zero, 0 otherwise."""
@@ -47,16 +49,18 @@ class LRatio:
 
 class EmbeddingDatum:
     """The datum of sigma -> nu^x rho x ... x nu^y rho |x sigma_ds
-    together with the Jordan blocks of the base at rho."""
+    together with the Jordan blocks of the base at rho.  Data are
+    frozen."""
 
     __slots__ = ("rho", "x", "y", "base_jord")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, rho: CuspidalSymbol, x, y, base_jord=()):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
         x, y = HalfInt(x), HalfInt(y)
-        span = x - y
-        if not span.is_integer or int(span) < 0:
+        span = x.twice - y.twice
+        if span % 2 or span < 0:
             raise ValueError(f"x - y must be a nonnegative integer, got x={x}, y={y}")
         if not rho.matches_parity(x.twice + 1):
             raise ValueError(f"2x+1 = {x.twice + 1} does not have the block parity of {rho.id}")
@@ -64,21 +68,29 @@ class EmbeddingDatum:
         for z in blocks:
             if problem := rho.block_error(z):
                 raise ValueError(f"base {problem}")
-        self.rho = rho
-        self.x = x
-        self.y = y
-        self.base_jord = frozenset(blocks)
+        _set_rho(self, rho)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_base_jord(self, frozenset(blocks))
 
     def __repr__(self):
         return f"EmbeddingDatum({self.rho.id}, x={self.x}, y={self.y}, base_jord={sorted(self.base_jord)})"
 
 
+_set_numerator = LRatio.numerator_shift.__set__
+_set_denominator = LRatio.denominator_shift.__set__
+_set_rho = EmbeddingDatum.rho.__set__
+_set_x = EmbeddingDatum.x.__set__
+_set_y = EmbeddingDatum.y.__set__
+_set_base_jord = EmbeddingDatum.base_jord.__set__
+
+
 def intertwining_ratios(z: int, emb: EmbeddingDatum):
     """The two distinct L-ratios governing the block z; each occurs twice
     in the Plancherel measure by the s to -s symmetry."""
-    half = HalfInt.from_twice(z - 1)  # (z-1)/2
-    first = LRatio(-emb.x + half, -emb.y + half + 1)
-    second = LRatio(emb.y + half, emb.x + half + 1)
+    half, x, y = z - 1, emb.x.twice, emb.y.twice  # twice (z-1)/2, x and y
+    first = LRatio(HalfInt.from_twice(half - x), HalfInt.from_twice(half - y + 2))
+    second = LRatio(HalfInt.from_twice(half + y), HalfInt.from_twice(half + x + 2))
     return first, second
 
 

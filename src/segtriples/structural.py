@@ -9,12 +9,20 @@ the expansion of its base by the structural formula: a double sum over
 the ways the inducing segment can shed a contragredient prefix and a
 plain suffix.  Every loop here walks sums unordered.
 
-The base rows and the segments built here are already valid, so the
-inner loop of ``expand_induced`` makes its terms without checking them
-again.  The base rows are grouped by their GL leg, each leg is merged
-once with the shed segments, and for each (i, j) each distinct induced
-leg of the base gets the kept segment on top once, through the trusted
-``GSpinTerm._on_top``; ``flatten_sum`` flattens each distinct leg once.
+The base rows are valid and the construction makes valid terms, so
+``expand_induced`` checks nothing again.  It walks (i, j) in doubled
+integers read from the segment's key and builds each shed segment once
+per index and each kept segment once per pair, through the trusted
+``Segment._trusted`` and ``GLTerm._trusted``.  The base rows are grouped
+by their GL leg, so each leg is merged once with each shed term, and for
+each (i, j) each distinct induced leg of the base gets the kept segment
+on top once, through the trusted ``GSpinTerm._on_top``.  The rows of the
+pairs i < j are pairwise distinct and stored without a lookup; only the
+i = j rows add into existing ones.  Of ``register``'s rules the result
+needs only the unit-left one, checked on the one pair whose shed term
+is the unit, before the sum is stored through ``FormalSum._trusted``;
+``register`` checks every entry handed to it in full.  ``flatten_sum``
+flattens each distinct leg once.
 Both build with the cyclic garbage collector paused, process-wide for
 the length of the call (a memo hit pauses nothing).  Objects are frozen
 and hash their key once, when built, and refer only to older values,
@@ -29,7 +37,6 @@ from contextlib import contextmanager
 from operator import attrgetter
 
 from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable
-from .halfint import HalfInt
 
 # The most base rows one expansion visits; depth 5 of r:[-1,2] over a cuspidal leaf visits 253,800.
 MAX_ROWS = 1_000_000
@@ -140,6 +147,12 @@ def induce(top, obj: GSpinTerm) -> GSpinTerm:
     return GSpinTerm((top,) + obj.gl_terms, obj.base)
 
 
+def _check_unit_rows(obj: GSpinTerm, unit_rows: list):
+    if unit_rows != [(obj, 1)]:
+        raise ValueError("an expansion must contain exactly one unit-left term, "
+                         "1 (x) the object itself, with coefficient 1")
+
+
 def _check_entry(obj: GSpinTerm, expansion: FormalSum):
     unit_rows, graded = [], True
     for t, c in expansion:
@@ -147,9 +160,7 @@ def _check_entry(obj: GSpinTerm, expansion: FormalSum):
         graded = graded and gl_left and isinstance(t[1], GSpinTerm)
         if gl_left and t[0].is_unit:
             unit_rows.append((t[1], c))
-    if unit_rows != [(obj, 1)]:
-        raise ValueError("an expansion must contain exactly one unit-left term, "
-                         "1 (x) the object itself, with coefficient 1")
+    _check_unit_rows(obj, unit_rows)
     if not graded:
         raise GradeError("expansion terms must be GL (x) tower pairs")
 
@@ -162,6 +173,7 @@ class ExpansionTable:
     serves as the memo for ``expand_induced``: keys are structural, so
     the same stack built the same way is computed once.  Each key is
     registered at most once; a second ``register`` raises.
+    ``expand_induced`` stores the new nodes it builds without ``register``.
     """
 
     def __init__(self):
@@ -215,9 +227,11 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
 
     where segments of span -1 evaporate (they are units).  Degrees are
     conserved term by term, and the unique unit-left term is
-    1 (x) (seg |x base) with coefficient one.  The expansion is
-    registered in ``table``, and a node already there is looked up.
-    Over ``MAX_ROWS`` rows to visit, (pairs i <= j) x base rows, raise ``SizeLimitError`` first.
+    1 (x) (seg |x base) with coefficient one; that rule is checked with
+    ``register``'s message, and the expansion is stored in ``table``
+    without the rest of ``register``'s checks, which the construction
+    meets.  A node already there is looked up.  Over ``MAX_ROWS`` rows
+    to visit, (pairs i <= j) x base rows, raise ``SizeLimitError`` first.
     """
     if seg.is_empty:
         raise ValueError("induction by the empty segment expands nothing new")
@@ -232,20 +246,40 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
         by_tau, legs = {}, {}
         for (tau, sprime), c in table.lookup(base):
             by_tau.setdefault(tau, []).append((legs.setdefault(sprime, len(legs)), c))
-        rho, k, l = seg.rho, -seg.a, seg.b
+        legs = list(legs)
+        rho, (rid, lo, hi) = seg.rho, seg.key  # doubled endpoints; 2i, 2j run over lo-2, ..., hi
+        unit = GLTerm._trusted((), ())
+
+        def term(a, b):  # the GL term of [a/2, b/2], or the unit when that is empty
+            if b < a:
+                return unit
+            s = Segment._trusted(rho, (rid, a, b))
+            return GLTerm._trusted((s,), (s.key,))
+
+        # for 2i = lo - 2 + 2p, sheds[p] holds [-i, k] and [i+1, l]
+        sheds = [(term(-i, -lo), term(i + 2, hi)) for i in range(lo - 2, hi + 1, 2)]
+        # pairs i < j first: the kept segment on top names the pair, and the
+        # shed term cancels, so their rows are distinct and stored unseen
         out = {}
-        for i in HalfInt.range_inclusive(-k - 1, l):
-            for j in HalfInt.range_inclusive(i, l):
-                shed = GLTerm.of(Segment(rho, -i, k), Segment(rho, j + 1, l))
-                kept = GLTerm.of(Segment(rho, i + 1, j))
-                on_top = [s._on_top(kept) for s in legs] if kept.segments else list(legs)
+        for p, (shed_left, _) in enumerate(sheds):
+            for q in range(p + 1, len(sheds)):
+                shed = shed_left * sheds[q][1]
+                kept = term(lo + 2 * p, lo + 2 * q - 2)
+                on_top = [s._on_top(kept) for s in legs]
+                if not shed.segments:  # the one pair whose rows may be unit-left
+                    _check_unit_rows(node, [(on_top[leg], c) for leg, c in by_tau.get(unit, ())])
                 for tau, tau_rows in by_tau.items():
                     gl = shed * tau
                     for leg, c in tau_rows:
-                        key = (gl, on_top[leg])
-                        out[key] = out.get(key, 0) + c
-        result = FormalSum(out)
-    table.register(node, result)
+                        out[gl, on_top[leg]] = c
+        for shed_left, shed_right in sheds:  # i = j: nothing kept, rows may meet earlier ones
+            shed = shed_left * shed_right
+            for tau, tau_rows in by_tau.items():
+                gl = shed * tau
+                for leg, c in tau_rows:
+                    key = (gl, legs[leg])
+                    out[key] = out.get(key, 0) + c
+        result = table._rows[node] = FormalSum._trusted(out)
     return result
 
 

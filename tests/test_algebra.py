@@ -9,12 +9,14 @@ from segtriples import (
     ChainStep,
     CuspidalSupport,
     CuspidalSymbol,
+    EmbeddingDatum,
     FormalSum,
     GLTerm,
     GradeError,
     GSpinTerm,
     HalfInt,
     JordanTriple,
+    LRatio,
     Reduction,
     ReductionChain,
     Segment,
@@ -209,6 +211,24 @@ def test_hashable_values_refuse_assignment(make):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value in d and d[make()] == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FormalSum.of(GLTerm.of(Segment(r, 0, 1)), 2),
+    lambda: EmbeddingDatum(r, 2, 1, [1]),
+    lambda: LRatio(0, 1),
+], ids=["FormalSum", "EmbeddingDatum", "LRatio"])
+def test_unhashed_values_refuse_assignment(make):
+    value = make()
+    before = repr(value)
+    for name in type(value).__slots__:
+        held = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is held
+    assert repr(value) == before == repr(make())
 
 
 # -- formal sums -------------------------------------------------------------

@@ -32,6 +32,7 @@ from helpers import comult_gl
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
+SYMBOLS = {"r": r, "q": q}
 
 
 @pytest.fixture
@@ -286,8 +287,10 @@ def test_expansion_matches_the_structure_formula_built_from_comult():
         for _ in range(rng.randint(1, 3)):
             s = _random_segment(rng)
             want = _mu_star_from_comult(s, table.lookup(cur))
-            assert expand_induced(s, cur, table) == want
+            out = expand_induced(s, cur, table)
+            assert out == want
             cur = induce(s, cur)
+            structural._check_entry(cur, out)  # the rule register applies, in full
 
 
 @st.composite
@@ -309,6 +312,7 @@ def test_random_towers_are_multiplicative(segs, base):
     for s in segs:
         out = expand_induced(s, cur, table)
         cur = induce(s, cur)
+        structural._check_entry(cur, out)
     base_rows = table.lookup(base)
     assert flatten_sum(out) == _multiplicative_mu_star(segs, base_rows)
     level_totals = [sum(c for _, c in _depth_one_rows(s)) for s in segs]
@@ -338,7 +342,7 @@ def test_trusted_terms_equal_and_hash_as_publicly_built_ones():
     rng = random.Random(5)
     table = ExpansionTable()
     base = table.add_cuspidal("c0")
-    checked = 0
+    checked = segments_checked = 0
     for _ in range(80):
         cur = base
         for _ in range(rng.randint(1, 3)):
@@ -349,8 +353,14 @@ def test_trusted_terms_equal_and_hash_as_publicly_built_ones():
                 for x, rebuilt in zip(term, _rebuilt(term)):
                     assert hash(x) == hash(x.key) == hash(rebuilt)
                     assert x == rebuilt and x.key == rebuilt.key
+                gl, obj = term
+                for seg in gl.segments + tuple(s for t in obj.gl_terms for s in t.segments):
+                    rebuilt = Segment(SYMBOLS[seg.key[0]], seg.a, seg.b)
+                    assert seg == rebuilt and hash(seg) == hash(rebuilt)
+                    assert seg.rho is rebuilt.rho
+                    segments_checked += 1
                 checked += 1
-    assert checked > 1000
+    assert checked > 1000 and segments_checked > 5000
 
 
 def test_expansion_refuses_a_sum_over_the_row_limit_before_any_work(table):
