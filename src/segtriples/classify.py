@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 
 from .algebra import EVEN, CuspidalSymbol, SizeLimitError
 from .structural import _collector_paused
 from .triples import (
+    _EMPTY,
+    PLUS,
     CuspidalSupport,
+    GapError,
     JordanTriple,
     NotAdmissibleError,
     _admissible_rows,
     _admitted_ends,
-    _extend,
-    _keep,
     _line,
     _pair_error,
     _parse_sign,
@@ -37,8 +39,11 @@ from .triples import (
     _set,
     _sign,
     _sign_char,
+    _signed_row,
+    _word,
     is_alternated,
     parse_triple,
+    singles_defined,
     subordinate_reductions,
     triple_text,
     validate_triple,
@@ -127,35 +132,58 @@ def chain_violations(chain: ReductionChain) -> list:
 def canonical_chain(t: JordanTriple) -> ReductionChain:
     """The canonical chain of an admissible triple, base-up: the pairs
     ``is_admissible`` removes, each with its free linking bit, read off
-    each symbol's peel, over the survivors; only the base is built.
-    The chain is marked valid, so ``realize_chain`` does not check it."""
+    each symbol's peel, over the survivors; only the base is built,
+    sharing each row the peel left whole.  The chain is marked valid,
+    so ``realize_chain`` does not check it."""
     peels = _peels(t.require_valid())
     if peels is None:
         raise NotAdmissibleError("no chain reaches an alternated triple")
-    recorded, base = [], t
+    recorded, rows = [], {}
     for rho, letters, removals, kept in peels:
         recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
-        base = _keep(base, rho, letters, kept)
-    chain = ReductionChain(base, tuple(reversed(recorded)))
+        if kept:
+            rows[rho] = _signed_row(kept, letters, singles_defined(t.cusp, rho)) if removals else t.rows[rho]
+    chain = ReductionChain(JordanTriple._of_rows(t.cusp, rows), tuple(reversed(recorded)))
     _set(chain, "_valid", True)
     return chain
 
 
 def realize_chain(chain: ReductionChain) -> JordanTriple:
-    """Fold the chain's steps over its base, base-up.
+    """Fold the chain's steps over its base, base-up, into one triple.
 
     Each step inserts its pair with value +1 through the dominating
     extension selected by the step's sign bit.  Raises on invalid
-    chains, and GapError when an inserted interval meets a block that
-    is already present.  A chain marked valid, as ``canonical_chain``
-    builds it, is not checked again, and each triple built on the way is
-    marked valid.
+    chains, and GapError at the first step whose interval meets a block
+    already present.  A chain marked valid, as ``canonical_chain``
+    builds it, is not checked again.  Each touched symbol keeps its
+    sorted blocks and word (``_word``): as in ``_extend``, both new
+    blocks get the step's sign where singles are defined, else that
+    times the predecessor's letter, or the successor's at the lower
+    boundary, or +1 on an empty row, and no other letter changes.
+    Only the result is built, marked valid.
     """
     chain.require_valid()
-    cur = chain.base
+    base = chain.base
+    walks = {}
     for step in chain.steps:
-        cur = _extend(cur, step.rho, step.lower, step.upper, step.sign)
-    return cur
+        rho, lower, upper, sign = step._values
+        if rho not in walks:
+            row, derive = base.rows.get(rho, _EMPTY), singles_defined(base.cusp, rho)
+            walks[rho] = list(row[0]), dict(_word(row, derive)), derive
+        blocks, letters, derive = walks[rho]
+        i = bisect_left(blocks, lower)
+        if i < len(blocks) and blocks[i] <= upper:
+            raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
+        blocks[i:i] = lower, upper
+        letters[lower] = letters[upper] = (
+            sign if derive else sign * letters[blocks[i - 1] if i else blocks[i + 2]] if len(blocks) > 2 else PLUS)
+    if not walks:
+        return base
+    rows = {**base.rows, **{rho: _signed_row(tuple(blocks), letters, derive)
+                            for rho, (blocks, letters, derive) in walks.items()}}
+    if len(rows) > len(base.rows):
+        rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
+    return JordanTriple._of_rows(base.cusp, rows)
 
 
 # -- enumeration ----------------------------------------------------------

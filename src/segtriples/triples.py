@@ -346,7 +346,7 @@ def _plus_pair_word(t: JordanTriple, rho, lower: int, upper: int):
     blocks = t.jord_of(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
-    letters = _word(t.cusp, rho, t.rows[rho])
+    letters = _word(t.rows[rho], singles_defined(t.cusp, rho))
     if letters[lower] != letters[upper]:
         raise ValueError("only pairs carrying +1 can be removed")
     return blocks, letters
@@ -365,7 +365,7 @@ def subordinate_reductions(t: JordanTriple) -> list:
     t.require_valid()
     out = []
     for rho, row in t.rows.items():
-        blocks, letters = row[0], _word(t.cusp, rho, row)
+        blocks, letters = row[0], _word(row, singles_defined(t.cusp, rho))
         out += [Reduction(rho, lo, hi, _keep(t, rho, letters, blocks[:i] + blocks[i + 2:]))
                 for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])) if letters[lo] == letters[hi]]
     return out
@@ -415,11 +415,12 @@ def is_alternated(t: JordanTriple):
                                    for rho, _, _, kept in peels))
 
 
-def _word(cusp, rho, row) -> dict:
-    """Each block's letter in the valid row at rho: its single sign,
-    else the prefix product of the pair signs from +1.  Read only."""
+def _word(row, derive) -> dict:
+    """Each block's letter in a valid row: its single sign where
+    ``derive`` says singles are defined, else the prefix product of the
+    pair signs from +1.  Read only."""
     blocks, letters, pairs = row
-    if not singles_defined(cusp, rho):
+    if not derive:
         letters = dict.fromkeys(blocks[:1], PLUS)
         for lo, hi in zip(blocks, blocks[1:]):
             letters[hi] = letters[lo] * pairs[(lo, hi)]
@@ -434,8 +435,8 @@ def _peel(cusp, rho, row):
     block's letter, each removal's blocks with its ``linking_sign`` before
     it (None if unlinked, then the target is missed), the sorted survivors;
     None if they miss the target."""
-    blocks, letters = row[0], _word(cusp, rho, row)
     derive = singles_defined(cusp, rho)
+    blocks, letters = row[0], _word(row, derive)
     even = rho.parity == EVEN
     order = blocks[::-1] if even else blocks
     stack, removals = [], []
@@ -456,10 +457,14 @@ def _peel(cusp, rho, row):
 def _peels(t: JordanTriple):
     """The canonical peel of the valid t at each symbol carrying blocks
     in t or in its cuspidal support, in id order, as ``(rho, letters,
-    removals, kept)``; None if one symbol's peel misses its target."""
+    removals, kept)``; None if one symbol's peel misses its target.
+    Those are the rows' symbols unless the support has one more."""
+    cusp, rows = t.cusp, t.rows
+    symbols = rows if all(rho in rows for rho, _ in cusp._jord) else sorted(
+        {*cusp.symbols, *rows}, key=lambda s: s.id)
     peels = []
-    for rho in sorted(set(t.cusp.symbols).union(t.symbols), key=lambda s: s.id):
-        if (peeled := _peel(t.cusp, rho, t.rows.get(rho, _EMPTY))) is None:
+    for rho in symbols:
+        if (peeled := _peel(cusp, rho, rows.get(rho, _EMPTY))) is None:
             return None
         peels.append((rho, *peeled))
     return peels
@@ -499,12 +504,17 @@ def _admissible_rows(cusp, rho, blocks):
             yield {rho: row} if blocks else {}
 
 
+def _signed_row(blocks, letters, derive) -> tuple:
+    """The row on the sorted blocks signed by their letters: on the singles
+    where ``derive`` says they are defined, else on the adjacent pairs."""
+    if derive:
+        return blocks, {a: letters[a] for a in blocks}, {}
+    return blocks, {}, {(lo, hi): letters[lo] * letters[hi] for lo, hi in zip(blocks, blocks[1:])}
+
+
 def _keep(t: JordanTriple, rho, letters, kept) -> JordanTriple:
     """t with the row at rho cut down to the blocks kept, signed by their letters."""
-    if singles_defined(t.cusp, rho):
-        return _replace_row(t, rho, kept, {a: letters[a] for a in kept}, {})
-    pairs = {(lo, hi): letters[lo] * letters[hi] for lo, hi in zip(kept, kept[1:])}
-    return _replace_row(t, rho, kept, {}, pairs)
+    return _replace_row(t, rho, *_signed_row(kept, letters, singles_defined(t.cusp, rho)))
 
 
 def is_admissible(t: JordanTriple):
@@ -546,7 +556,7 @@ def dominates(t: JordanTriple, other: JordanTriple):
         raise ValueError("dominance only compares triples over one support")
     chain, cur = [], t
     for rho, row in t.rows.items():
-        blocks, letters, keep = row[0], _word(t.cusp, rho, row), set(other.jord_of(rho))
+        blocks, letters, keep = row[0], _word(row, singles_defined(t.cusp, rho)), set(other.jord_of(rho))
         stack = []
         for i, a in enumerate(blocks):
             if stack and letters[stack[-1]] == letters[a] and not {stack[-1], a} & keep:

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import segtriples.classify
 import segtriples.triples
@@ -14,6 +15,7 @@ from segtriples import (
     ChainStep,
     CuspidalSupport,
     CuspidalSymbol,
+    GapError,
     InvalidChainError,
     JordanTriple,
     NotAdmissibleError,
@@ -176,7 +178,7 @@ def validations(monkeypatch):
 
 
 def user_triple():
-    """A fresh, unmarked admissible triple with a five-step canonical chain."""
+    """A fresh, unmarked admissible triple with a two-step canonical chain."""
     return odd_triple(C17, [1, 3, 5, 7, 9, 11],
                       pairs={(1, 3): MINUS, (3, 5): PLUS, (5, 7): MINUS,
                              (7, 9): PLUS, (9, 11): MINUS})
@@ -548,3 +550,128 @@ def test_round_trip_across_an_enumeration():
         key = chain_text(chain)
         assert key not in seen, f"chain collision with {seen[key]}"
         seen[key] = triple_text(t)
+
+
+# -- the one-pass round trip -------------------------------------------------
+
+
+def folded(chain):
+    """The reference realization: one ``_extend`` per step, base-up, each a whole triple."""
+    cur = chain.base
+    for step in chain.steps:
+        cur = segtriples.triples._extend(cur, step.rho, step.lower, step.upper, step.sign)
+    return cur
+
+
+def assert_same_triple(got, want):
+    assert got == want
+    assert list(got.rows) == list(want.rows) and triple_text(got) == triple_text(want)
+
+
+@pytest.mark.parametrize("cusp,symbols,max_a,count", [
+    (C0, [r, q], 9, 1_785),
+    (C17, [r], 13, 266),  # pair-signed rows, many grown below the base's lowest block
+])
+def test_realization_equals_the_step_by_step_fold(cusp, symbols, max_a, count):
+    found = enumerate_admissible(cusp, symbols, max_a=max_a)
+    assert len(found) == count
+    for t in found:
+        chain = canonical_chain(t)
+        got = realize_chain(chain)
+        assert_same_triple(got, folded(chain))
+        assert got == t
+
+
+# c17 [r, q] mixes pair-signed rows at r with singles at q; c0 [r, q] has singles at both
+INTERLEAVE_POOL = tuple(enumerate_admissible(C17, [r, q], max_a=9) + enumerate_admissible(C0, [r, q], max_a=7))
+
+
+@st.composite
+def interleaved_chains(draw):
+    """A canonical chain from the pool with its steps at different symbols
+    merged in any order (each symbol's own order kept), some signs flipped
+    and some steps dropped, which ``chain_violations`` all allows; and the
+    triple it came from when nothing was flipped or dropped."""
+    t = draw(st.sampled_from(INTERLEAVE_POOL))
+    canonical = canonical_chain(t)
+    steps = canonical.steps
+    order = draw(st.permutations([step.rho for step in steps]))
+    queues = {rho: [step for step in steps if step.rho == rho] for rho in order}
+    merged = [queues[rho].pop(0) for rho in order]
+    flips = draw(st.lists(st.booleans(), min_size=len(merged), max_size=len(merged)))
+    drops = draw(st.lists(st.booleans(), min_size=len(merged), max_size=len(merged)))
+    kept = tuple(ChainStep(s.rho, s.lower, s.upper, -s.sign if flip else s.sign)
+                 for s, flip, drop in zip(merged, flips, drops) if not drop)
+    chain = ReductionChain(canonical.base, kept)
+    return chain, t if not any(flips) and not any(drops) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(interleaved_chains())
+def test_realization_of_interleaved_chains_equals_the_fold(drawn):
+    chain, source = drawn
+    assert chain_violations(chain) == []
+    got = realize_chain(chain)
+    assert_same_triple(got, folded(chain))
+    if source is not None:
+        assert got == source
+
+
+def test_a_pair_inserted_below_a_pair_signed_row_takes_the_successors_letter():
+    base = odd_triple(C17, [9, 11], pairs={(9, 11): MINUS})
+    for sign in (PLUS, MINUS):
+        chain = ReductionChain(base, (ChainStep(q, 2, 4, PLUS), ChainStep(r, 5, 7, sign),
+                                      ChainStep(q, 6, 8, MINUS), ChainStep(r, 1, 3, -sign)))
+        got = realize_chain(chain)
+        assert_same_triple(got, folded(chain))
+        assert got.pair(r, 1, 3) == got.pair(r, 5, 7) == PLUS
+        assert got.pair(r, 3, 5) == -sign and got.pair(r, 7, 9) == sign
+
+
+@pytest.mark.parametrize("base,steps,message", [
+    # a step meets a block of the base
+    (odd_triple(C1, [3]), [(r, 1, 5, PLUS)], "[1,5] meets an existing block at r"),
+    # a later step lands on a block an earlier step inserted: inside, at its upper end, at its lower end
+    (JordanTriple(C0), [(r, 3, 9, PLUS), (r, 1, 5, MINUS)], "[1,5] meets an existing block at r"),
+    (JordanTriple(C0), [(r, 5, 9, PLUS), (r, 1, 5, MINUS)], "[1,5] meets an existing block at r"),
+    (JordanTriple(C0), [(q, 2, 6, PLUS), (q, 6, 10, PLUS)], "[6,10] meets an existing block at q"),
+    # steps at two symbols both collide: the first in chain order is reported
+    (JordanTriple(C0), [(q, 2, 6, PLUS), (r, 3, 9, PLUS), (r, 1, 5, PLUS), (q, 4, 8, PLUS)],
+     "[1,5] meets an existing block at r"),
+    (JordanTriple(C0), [(r, 3, 9, PLUS), (q, 2, 6, PLUS), (q, 4, 8, PLUS), (r, 1, 5, PLUS)],
+     "[4,8] meets an existing block at q"),
+])
+def test_realization_refuses_a_step_that_meets_a_block(base, steps, message):
+    chain = ReductionChain(base, tuple(ChainStep(*step) for step in steps))
+    assert chain_violations(chain) == []
+    with pytest.raises(GapError) as folding:
+        folded(chain)
+    with pytest.raises(GapError) as realizing:
+        realize_chain(chain)
+    assert str(realizing.value) == str(folding.value) == message
+
+
+@pytest.fixture
+def built_triples(monkeypatch):
+    """A list that grows by one at each call of ``JordanTriple._of_rows``."""
+    calls = []
+    of_rows = JordanTriple._of_rows
+
+    def counted(cls, cusp, rows, text=None):
+        calls.append(rows)
+        return of_rows(cusp, rows, text)
+
+    monkeypatch.setattr(JordanTriple, "_of_rows", classmethod(counted))
+    return calls
+
+
+def test_a_round_trip_builds_only_the_base_and_the_result(built_triples):
+    t = user_triple()
+    chain = canonical_chain(t)
+    assert len(built_triples) == 1
+    assert len(chain.steps) == 2 and realize_chain(chain) == t
+    assert len(built_triples) == 2
+    for t in INTERLEAVE_POOL:
+        built_triples.clear()
+        assert realize_chain(canonical_chain(t)) == t
+        assert len(built_triples) <= 2
