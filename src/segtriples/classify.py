@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 
 from .algebra import EVEN, CuspidalSymbol, SizeLimitError
 from .structural import _collector_paused
 from .triples import (
     _EMPTY,
-    PLUS,
     CuspidalSupport,
-    GapError,
     JordanTriple,
     NotAdmissibleError,
     _admissible_rows,
     _admitted_ends,
+    _insert,
     _line,
     _pair_error,
     _parse_sign,
@@ -40,7 +38,6 @@ from .triples import (
     _sign,
     _sign_char,
     _signed_row,
-    _word,
     is_alternated,
     parse_triple,
     singles_defined,
@@ -70,11 +67,11 @@ class ChainStep(_Record):
 class ReductionChain(_Record):
     """A base triple and the steps that extend it, base-up.
 
-    Like ``JordanTriple`` it carries a mark that it is valid, set by
-    ``canonical_chain`` and by a ``chain_violations`` that finds nothing
-    on a tuple of steps; ``require_valid`` checks only an unmarked
-    chain.  The mark is no constructor argument and takes no part in
-    equality, hashing, repr or text.
+    A chain carries a mark that it is valid, set by ``canonical_chain``
+    and by a ``chain_violations`` that finds nothing on a tuple of
+    steps; ``require_valid`` checks only an unmarked chain.  The mark is
+    no constructor argument and takes no part in equality, hashing, repr
+    or text.
     """
 
     __slots__ = ("base", "steps", "_valid")
@@ -139,10 +136,10 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
     if peels is None:
         raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, rows = [], {}
-    for rho, letters, removals, kept in peels:
+    for rho, removals, kept in peels:
         recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
         if kept:
-            rows[rho] = _signed_row(kept, letters, singles_defined(t.cusp, rho)) if removals else t.rows[rho]
+            rows[rho] = _signed_row(*zip(*kept), singles_defined(t.cusp, rho)) if removals else t.rows[rho]
     chain = ReductionChain(JordanTriple._of_rows(t.cusp, rows), tuple(reversed(recorded)))
     _set(chain, "_valid", True)
     return chain
@@ -156,11 +153,8 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     chains, and GapError at the first step whose interval meets a block
     already present.  A chain marked valid, as ``canonical_chain``
     builds it, is not checked again.  Each touched symbol keeps its
-    sorted blocks and word (``_word``): as in ``_extend``, both new
-    blocks get the step's sign where singles are defined, else that
-    times the predecessor's letter, or the successor's at the lower
-    boundary, or +1 on an empty row, and no other letter changes.
-    Only the result is built, marked valid.
+    sorted blocks and letters, and each step inserts its pair into them
+    by ``_insert``, as ``dominating_extensions`` does.  Only the result is built.
     """
     chain.require_valid()
     base = chain.base
@@ -168,18 +162,12 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     for step in chain.steps:
         rho, lower, upper, sign = step._values
         if rho not in walks:
-            row, derive = base.rows.get(rho, _EMPTY), singles_defined(base.cusp, rho)
-            walks[rho] = list(row[0]), dict(_word(row, derive)), derive
+            walks[rho] = (*map(list, base.rows.get(rho, _EMPTY)), singles_defined(base.cusp, rho))
         blocks, letters, derive = walks[rho]
-        i = bisect_left(blocks, lower)
-        if i < len(blocks) and blocks[i] <= upper:
-            raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
-        blocks[i:i] = lower, upper
-        letters[lower] = letters[upper] = (
-            sign if derive else sign * letters[blocks[i - 1] if i else blocks[i + 2]] if len(blocks) > 2 else PLUS)
+        _insert(rho, derive, blocks, letters, lower, upper, sign)
     if not walks:
         return base
-    rows = {**base.rows, **{rho: _signed_row(tuple(blocks), letters, derive)
+    rows = {**base.rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
                             for rho, (blocks, letters, derive) in walks.items()}}
     if len(rows) > len(base.rows):
         rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
@@ -261,11 +249,18 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
         per_symbol = [[rows for _, _, sets in groups for blocks in sets
                        for rows in _admissible_rows(cusp, rho, blocks)] for rho, groups in window.items()]
         items = [[_row_items(cusp, rows) for rows in survivors] for survivors in per_symbol]
-        found = [JordanTriple._of_rows(cusp, {rho: row for rows in combo for rho, row in rows.items()},
-                                       _line(cusp, parts))
+        found = [JordanTriple._of_rows(cusp, _merged(combo), _line(cusp, parts))
                  for combo, parts in zip(itertools.product(*per_symbol), itertools.product(*items))]
         found.sort(key=triple_text)
     return found
+
+
+def _merged(maps) -> dict:
+    """One dict of the row maps, whose symbols differ; ``update`` reuses their stored hashes."""
+    out = {}
+    for rows in maps:
+        out.update(rows)
+    return out
 
 
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
@@ -280,8 +275,8 @@ def dominance_edges(triples) -> list:
     whether the node set is closed under reduction.
     """
     texts = {t: triple_text(t) for t in triples}
-    return sorted({(text, texts[red.result]) for t, text in texts.items()
-                   for red in subordinate_reductions(t) if red.result in texts})
+    return sorted({(text, child) for t, text in texts.items()
+                   for red in subordinate_reductions(t) if (child := texts.get(red.result)) is not None})
 
 
 # -- canonical text form --------------------------------------------------

@@ -11,18 +11,17 @@ kinds of arguments:
   odd and the cuspidal support has no Jordan blocks at rho (the case in
   which rho induced to the base cuspidal reduces).
 
-Wherever singles exist they determine the adjacent pairs through the
-product rule eps(a_) * eps(a) = eps((a_, a)), so pair values are
-derived there and stored only at symbols without singles.  Each symbol
-keeps one row of data, and a step rewrites only its own symbol's row.
+Each symbol keeps one row: its sorted blocks and one +1/-1 letter per
+block, the single signs where singles exist, else the prefix products
+of the pair signs from +1.  Each pair sign is the product of its two
+letters (where singles exist, the product rule eps(a_) * eps(a) =
+eps((a_, a))), so none is stored; a step rewrites only its own row.
 
 A subordination step removes an adjacent pair carrying eps = +1 and
 rewires the signs: untouched pairs keep their values, the bridge pair
 created between the removed pair's outer neighbours takes the product
 of the two dropped crossing pairs, and surviving singles keep their
-values.  As a word of +1/-1 letters per row (the singles, else the
-prefix products of the pair signs from +1) every pair sign is the
-product of its two letters and the bridge that of the outer letters:
+values.  On the words the bridge is the product of the outer letters:
 a step deletes two equal adjacent letters, as in Z/2 * Z/2.  Lemma:
 in whatever order, such deletions end in one reduced word (each
 shortens the word, and two that overlap, in a run aaa, leave the same
@@ -37,13 +36,14 @@ dominates u exactly when u is t cut down to some of its blocks and
 each run of blocks of t that u lacks reduces to the empty word.
 ``_peels`` walks the peel over a triple's symbols for every reader,
 ``_admissible_rows`` builds the rows it admits from ``_admitted_ends``,
-peeling none, and no other module builds or reads a row.
+peeling none, and ``_insert`` is the one rule that grows a word.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from bisect import bisect_left
+from operator import attrgetter, mul
 
 from .algebra import EVEN, CuspidalSymbol, _immutable
 
@@ -118,28 +118,24 @@ def singles_defined(cusp: CuspidalSupport, rho: CuspidalSymbol) -> bool:
 
 
 class JordanTriple:
-    """A triple (blocks, support, signs), one row per symbol.
+    """A triple (blocks, support, signs), frozen.
 
-    ``rows`` maps each symbol with data, in id order, to ``(blocks,
-    singles, pairs)``: the sorted blocks, the single signs by block and
-    the pair signs by (lower, upper); the library shares rows and never
-    mutates them.  Where singles are defined, pair signs are derived by
-    the product rule (``pair``, ``pairs``) and not stored; a pair given
-    there is kept only for ``validate_triple`` to report.  The
+    ``rows`` maps each symbol with blocks, in id order, to ``(blocks,
+    letters)``: the sorted blocks and each one's letter, as in the module
+    docstring; no pair sign is stored (``pair``, ``pairs``).  The
     constructor rejects a symbol that is not a ``CuspidalSymbol``
-    (TypeError), non-integer blocks, and signs other than +1 and -1,
-    and canonicalizes, but does not validate.  A triple carries a mark
-    that it is valid: the library's own builders (``_of_rows``, behind
-    every reduction, extension and enumeration result) set it on rows
-    they made valid, and so does a ``validate_triple`` that finds
-    nothing; ``require_valid`` checks only an unmarked triple.  An
-    enumerated triple also keeps its canonical text for ``triple_text``.
-    Neither takes part in equality, hashing or ``repr``.  Nothing is
-    frozen: a caller must not assign a field or mutate a row map, which
-    would void the mark and the kept text.
-    """
+    (TypeError), non-integer blocks and signs other than +1 and -1, and
+    keeps what ``validate_triple`` reports on the rest: valid input gets
+    rows, so a triple with rows is valid, and invalid input keeps only
+    its violations and its text, which only ``validate_triple``,
+    ``require_valid``, ``str``, ``repr``, equality and hashing read;
+    other readers raise ``InvalidTripleError``.  ``_of_rows`` shares
+    rows the library made valid; an enumerated triple also keeps its
+    text for ``triple_text``.  Equality and hash read one key, and the
+    hash is computed on first use."""
 
-    __slots__ = ("cusp", "rows", "_valid", "_text")
+    __slots__ = ("cusp", "rows", "_text", "_problems", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, cusp: CuspidalSupport, jord=(), singles=None, pairs=None):
         if not isinstance(cusp, CuspidalSupport):
@@ -154,46 +150,70 @@ class JordanTriple:
             given.setdefault(rho, (set(), {}, {}))[2][key] = _sign(v)
         if any(not isinstance(rho, CuspidalSymbol) for rho in given):
             raise TypeError("triple keys must be CuspidalSymbol objects")
-        self.cusp = cusp
-        self.rows = {}
+        found, rows, items = [], {}, []
         for rho in sorted(given, key=lambda s: s.id):
-            blocks, signs, pairs = given[rho]
+            blocks, singles, pairs = given[rho]
             blocks = tuple(sorted(blocks))
-            derived = _pair_signs(cusp, rho, (blocks, signs, {}))
-            self.rows[rho] = (blocks, signs, {k: v for k, v in pairs.items() if derived.get(k) != v})
-        self._valid = False
-        self._text = None
+            derive = singles_defined(cusp, rho)
+            adjacent = tuple(zip(blocks, blocks[1:]))
+            signs = {(lo, hi): singles[lo] * singles[hi] for lo, hi in adjacent
+                     if derive and lo in singles and hi in singles}
+            signs.update(pairs)
+            found += [(0, problem) for a in blocks if (problem := rho.block_error(a))]
+            found += [(1, f"single sign on {rho.id}:{a} is not in the domain")
+                      for a in sorted(singles) if not derive or a not in blocks]
+            found += [(2, f"missing single sign on {rho.id}:{a}")
+                      for a in blocks if derive and a not in singles]
+            found += [(3, f"pair sign on {rho.id}:{lo}-{hi} is not adjacent")
+                      for lo, hi in sorted(pairs) if (lo, hi) not in adjacent]
+            found += [(4, f"missing pair sign on {rho.id}:{lo}-{hi}")
+                      for lo, hi in adjacent if (lo, hi) not in signs]
+            found += [(5, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
+                      for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
+                      and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
+            items.append((rho, blocks, sorted(singles.items()), sorted(signs.items())))
+            # the row is kept only if no symbol has a violation
+            rows[rho] = blocks, tuple(singles.get(a) for a in blocks) if derive else tuple(
+                itertools.accumulate((signs.get(k, PLUS) for k in adjacent), mul, initial=PLUS))
+        found.sort(key=lambda kv: kv[0])
+        _set_cusp(self, cusp)
+        _set_rows(self, None if found else rows)
+        _set_text(self, _line(cusp, [_items(items)]) if found else None)
+        JordanTriple._problems.__set__(self, tuple(message for _, message in found))
 
     @classmethod
     def _of_rows(cls, cusp, rows, text=None):
-        """A triple marked valid over rows already canonical and valid,
-        shared, not copied; it keeps ``text`` as their canonical text."""
+        """A triple over rows already canonical and valid, shared, not
+        copied; it keeps ``text`` as their canonical text."""
         t = object.__new__(cls)
-        t.cusp = cusp
-        t.rows = rows
-        t._valid = True
-        t._text = text
+        _set_cusp(t, cusp)
+        _set_rows(t, rows)
+        _set_text(t, text)
         return t
 
     # -- accessors ---------------------------------------------------
 
+    def _row(self, rho) -> tuple:
+        return self.require_valid().rows.get(rho, _EMPTY)
+
     def jord_of(self, rho) -> tuple:
-        return self.rows.get(rho, _EMPTY)[0]
+        return self._row(rho)[0]
 
     @property
     def symbols(self) -> tuple:
-        return tuple(rho for rho, row in self.rows.items() if row[0])
+        return tuple(self.require_valid().rows)
 
     def single(self, rho, a):
-        return self.rows.get(rho, _EMPTY)[1].get(a)
+        blocks, letters = self._row(rho)
+        return letters[blocks.index(a)] if a in blocks and singles_defined(self.cusp, rho) else None
 
     def pair(self, rho, lo, hi):
-        return _pair_signs(self.cusp, rho, self.rows.get(rho, _EMPTY)).get((lo, hi))
+        return dict(_pair_items(self._row(rho))).get((lo, hi))
 
     @property
     def pairs(self) -> tuple:
-        return tuple(((rho, lo, hi), v) for rho, row in self.rows.items()
-                     for (lo, hi), v in sorted(_pair_signs(self.cusp, rho, row).items()))
+        return tuple(((rho, lo, hi), v) for rho, row in self.require_valid().rows.items()
+                     for (lo, hi), v in _pair_items(row))
 
     def adjacent_pairs(self, rho):
         blocks = self.jord_of(rho)
@@ -205,22 +225,29 @@ class JordanTriple:
 
     @property
     def size(self) -> int:
-        return sum(len(blocks) for blocks, _, _ in self.rows.values())
+        return sum(len(blocks) for blocks, _ in self.require_valid().rows.values())
 
     def require_valid(self):
-        if not self._valid and (problems := validate_triple(self)):
-            raise InvalidTripleError("; ".join(problems))
+        if self.rows is None:
+            raise InvalidTripleError("; ".join(self._problems))
         return self
+
+    @property
+    def _key(self):
+        """The rows in id order, or the text of a triple built from invalid input."""
+        return self._text if self.rows is None else tuple(self.rows.items())
 
     def __eq__(self, other):
         if not isinstance(other, JordanTriple):
             return NotImplemented
-        return self.cusp == other.cusp and self.rows == other.rows
+        return self.cusp == other.cusp and self._key == other._key
 
     def __hash__(self):
-        return hash((self.cusp, tuple(
-            (rho, blocks, frozenset(singles.items()), frozenset(pairs.items()))
-            for rho, (blocks, singles, pairs) in self.rows.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            JordanTriple._hash.__set__(self, hash((self.cusp, self._key)))
+            return self._hash
 
     def __str__(self):
         return triple_text(self)
@@ -230,8 +257,11 @@ class JordanTriple:
 
 
 make_triple = JordanTriple
+_set_cusp = JordanTriple.cusp.__set__
+_set_rows = JordanTriple.rows.__set__
+_set_text = JordanTriple._text.__set__
 
-_EMPTY = ((), {}, {})
+_EMPTY = ((), ())
 
 
 def _integer(x, what: str) -> int:
@@ -254,22 +284,25 @@ def _pair_error(rho, lower, upper) -> str | None:
     return None if lower < upper else f"need lower < upper, got {lower} and {upper}"
 
 
-def _pair_signs(cusp, rho, row) -> dict:
-    """Every pair sign of the row at rho by (lower, upper): the stored
-    ones and, where singles are defined, the product rule on each
-    adjacent pair whose blocks carry singles.  Read only."""
-    blocks, singles, pairs = row
-    if not singles_defined(cusp, rho):
-        return pairs
-    derived = {(lo, hi): singles[lo] * singles[hi]
-               for lo, hi in zip(blocks, blocks[1:]) if lo in singles and hi in singles}
-    return {**derived, **pairs}
+def _pair_items(row) -> list:
+    """Each adjacent pair of a row, lowest first, with its sign: the product of its two letters."""
+    blocks, letters = row
+    return [((lo, hi), v * w) for lo, hi, v, w in zip(blocks, blocks[1:], letters, letters[1:])]
 
 
-def _replace_row(t: JordanTriple, rho, blocks, singles, pairs) -> JordanTriple:
-    """t with the row at rho replaced; the other rows are shared."""
-    rows = {**t.rows, rho: (blocks, singles, pairs)}
-    if not (blocks or singles or pairs):
+def _signed_row(blocks, letters, derive) -> tuple:
+    """The row on the sorted blocks and their letters, negated to start at
+    +1 where ``derive`` says singles are undefined: a word there is one up to sign."""
+    if not derive and letters and letters[0] == MINUS:
+        letters = tuple(-v for v in letters)
+    return blocks, letters
+
+
+def _replace_row(t: JordanTriple, rho, blocks, letters) -> JordanTriple:
+    """t with the row at rho replaced by the blocks and their letters,
+    signed by ``_signed_row``; the other rows are shared."""
+    rows = {**t.rows, rho: _signed_row(blocks, letters, singles_defined(t.cusp, rho))}
+    if not blocks:
         del rows[rho]
     elif rho not in t.rows:
         rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
@@ -279,30 +312,16 @@ def _replace_row(t: JordanTriple, rho, blocks, singles, pairs) -> JordanTriple:
 def validate_triple(t: JordanTriple) -> list:
     """All invariant violations, as human-readable strings, grouped by
     kind and each kind in symbol and block order: blocks that are not
-    Jordan blocks, signs off or missing from their domain, and stored
+    Jordan blocks, signs off or missing from their domain, and given
     pairs that break the product rule (signs are +1 or -1 when built).
-    The check ignores the mark of ``require_valid``, and sets it when
-    nothing is found."""
-    found = []
-    for rho, (blocks, singles, pairs) in t.rows.items():
-        derive = singles_defined(t.cusp, rho)
-        adjacent = tuple(zip(blocks, blocks[1:]))
-        signs = _pair_signs(t.cusp, rho, (blocks, singles, pairs))
-        found += [(0, problem) for a in blocks if (problem := rho.block_error(a))]
-        found += [(1, f"single sign on {rho.id}:{a} is not in the domain")
-                  for a in sorted(singles) if not derive or a not in blocks]
-        found += [(2, f"missing single sign on {rho.id}:{a}")
-                  for a in blocks if derive and a not in singles]
-        found += [(3, f"pair sign on {rho.id}:{lo}-{hi} is not adjacent")
-                  for lo, hi in sorted(pairs) if (lo, hi) not in adjacent]
-        found += [(4, f"missing pair sign on {rho.id}:{lo}-{hi}")
-                  for lo, hi in adjacent if (lo, hi) not in signs]
-        found += [(5, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
-                  for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
-                  and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
-    found.sort(key=lambda kv: kv[0])
-    t._valid = not found
-    return [message for _, message in found]
+    A triple built from input keeps what its constructor found.  The
+    rows of one the library built are checked in full: their text, read
+    back as input, must build the same rows."""
+    if (found := getattr(t, "_problems", None)) is not None:
+        return list(found)
+    again = parse_triple(_line(t.cusp, [_row_items(t.cusp, t.rows)]), t.cusp, {rho.id: rho for rho in t.rows})
+    return validate_triple(again) if again.rows is None or again._key == t._key else [
+        "the rows are not in canonical form"]
 
 
 # -- subordination -------------------------------------------------------
@@ -339,35 +358,45 @@ class Reduction(_Record):
         _set(self, "result", result)
 
 
-def _plus_pair_word(t: JordanTriple, rho, lower: int, upper: int):
-    """The blocks and the word at rho of the valid t, where (lower, upper)
-    is adjacent and carries +1: its two letters are equal."""
-    t.require_valid()
-    blocks = t.jord_of(rho)
+def _plus_pair(t: JordanTriple, rho, lower: int, upper: int):
+    """The row at rho of the valid t and the index of lower, where
+    (lower, upper) is adjacent and carries +1: its two letters are equal."""
+    blocks, letters = t._row(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
-    letters = _word(t.rows[rho], singles_defined(t.cusp, rho))
-    if letters[lower] != letters[upper]:
+    i = blocks.index(lower)
+    if letters[i] != letters[i + 1]:
         raise ValueError("only pairs carrying +1 can be removed")
-    return blocks, letters
+    return blocks, letters, i
 
 
 def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
     """Remove the adjacent pair (lower, upper) at rho, carrying +1, from the
     valid t: two equal letters leave the word; the bridge is the crossings' product."""
-    blocks, letters = _plus_pair_word(t, rho, lower, upper)
-    return _keep(t, rho, letters, tuple(a for a in blocks if a != lower and a != upper))
+    _plus_pair(t, rho, lower, upper)
+    return _reduce_in_turn([], t, rho, [(lower, upper)])
+
+
+def _reduce_in_turn(chain: list, t: JordanTriple, rho, pairs) -> JordanTriple:
+    """The last triple of removing the pairs ``(lower, upper, ...)`` at rho from t in turn, each
+    adjacent with equal letters when its turn comes; each step is appended to chain."""
+    blocks, letters = t.rows.get(rho, _EMPTY)
+    for lower, upper, *_ in pairs:
+        i = blocks.index(lower)
+        blocks, letters = blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]
+        t = _replace_row(t, rho, blocks, letters)
+        chain.append(Reduction(rho, lower, upper, t))
+    return t
 
 
 def subordinate_reductions(t: JordanTriple) -> list:
     """Every one-step subordination of t, in canonical witness order:
     symbol by symbol, each adjacent pair of equal letters, lowest first."""
-    t.require_valid()
     out = []
-    for rho, row in t.rows.items():
-        blocks, letters = row[0], _word(row, singles_defined(t.cusp, rho))
-        out += [Reduction(rho, lo, hi, _keep(t, rho, letters, blocks[:i] + blocks[i + 2:]))
-                for i, (lo, hi) in enumerate(zip(blocks, blocks[1:])) if letters[lo] == letters[hi]]
+    for rho, (blocks, letters) in t.require_valid().rows.items():
+        out += [Reduction(rho, blocks[i], blocks[i + 1],
+                          _replace_row(t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]))
+                for i in range(len(blocks) - 1) if letters[i] == letters[i + 1]]
     return out
 
 
@@ -394,8 +423,8 @@ def cuspidal_target(t: JordanTriple, rho) -> frozenset:
     triple: the cuspidal blocks, joined with 0 when the minimal block
     here is even and carries single sign +1."""
     target = set(t.cusp.jord_of(rho))
-    blocks = t.jord_of(rho)
-    if blocks and blocks[0] % 2 == 0 and t.single(rho, blocks[0]) == PLUS:
+    blocks, letters = t._row(rho)
+    if blocks and blocks[0] % 2 == 0 and letters[0] == PLUS:
         target.add(0)
     return frozenset(target)
 
@@ -409,56 +438,44 @@ def is_alternated(t: JordanTriple):
     rules the witness out.
     """
     peels = _peels(t.require_valid())
-    if peels is None or any(removals for _, _, removals, _ in peels):
+    if peels is None or any(removals for _, removals, _ in peels):
         return None
-    return AlternatedWitness(tuple((rho, tuple(zip(kept, sorted(cuspidal_target(t, rho)))))
-                                   for rho, _, _, kept in peels))
-
-
-def _word(row, derive) -> dict:
-    """Each block's letter in a valid row: its single sign where
-    ``derive`` says singles are defined, else the prefix product of the
-    pair signs from +1.  Read only."""
-    blocks, letters, pairs = row
-    if not derive:
-        letters = dict.fromkeys(blocks[:1], PLUS)
-        for lo, hi in zip(blocks, blocks[1:]):
-            letters[hi] = letters[lo] * pairs[(lo, hi)]
-    return letters
+    return AlternatedWitness(tuple((rho, tuple(zip((a for a, _ in kept), sorted(cuspidal_target(t, rho)))))
+                                   for rho, _, kept in peels))
 
 
 def _peel(cusp, rho, row):
     """The canonical peel of a valid row at rho: remove the +1 pair with
     maximal upper endpoint (even rho) or minimal lower endpoint (odd rho)
-    until none is left, by stack-reducing the sign word from the top
-    (even) or the bottom (odd).  ``(letters, removals, kept)``: each
-    block's letter, each removal's blocks with its ``linking_sign`` before
-    it (None if unlinked, then the target is missed), the sorted survivors;
-    None if they miss the target."""
+    until none is left, by stack-reducing the word from the top (even)
+    or the bottom (odd).  ``(removals, kept)``: each removal's blocks
+    with its ``linking_sign`` before it (None if unlinked, then the
+    target is missed), and the survivors as sorted (block, letter)
+    pairs; None if they miss the target."""
     derive = singles_defined(cusp, rho)
-    blocks, letters = row[0], _word(row, derive)
     even = rho.parity == EVEN
-    order = blocks[::-1] if even else blocks
+    word = tuple(zip(*row))
+    order = word[::-1] if even else word
     stack, removals = [], []
-    for i, a in enumerate(order):
-        if not stack or letters[stack[-1]] != letters[a]:
-            stack.append(a)
+    for i, (a, v) in enumerate(order):
+        if not stack or stack[-1][1] != v:
+            stack.append((a, v))
             continue
-        b = stack.pop()
+        b = stack.pop()[0]
         # rows without singles are odd: the predecessor is on the stack, the successor unread
         near = stack[-1] if stack else order[i + 1] if i + 1 < len(order) else None
-        bit = letters[a] if derive else None if near is None else letters[a] * letters[near]
+        bit = v if derive else None if near is None else v * near[1]
         removals.append((a, b, bit) if even else (b, a, bit))
-    kept = tuple(stack[::-1] if even else stack)
-    zero = even and kept and letters[kept[0]] == PLUS  # the target gains the block 0
-    return (letters, removals, kept) if len(kept) == len(cusp.jord_of(rho)) + bool(zero) else None
+    kept = stack[::-1] if even else stack
+    zero = even and kept and kept[0][1] == PLUS  # the target gains the block 0
+    return (removals, kept) if len(kept) == len(cusp.jord_of(rho)) + bool(zero) else None
 
 
 def _peels(t: JordanTriple):
     """The canonical peel of the valid t at each symbol carrying blocks
-    in t or in its cuspidal support, in id order, as ``(rho, letters,
-    removals, kept)``; None if one symbol's peel misses its target.
-    Those are the rows' symbols unless the support has one more."""
+    in t or in its cuspidal support, in id order, as ``(rho, removals,
+    kept)``; None if one symbol's peel misses its target.  Those are the
+    rows' symbols unless the support has one more."""
     cusp, rows = t.cusp, t.rows
     symbols = rows if all(rho in rows for rho, _ in cusp._jord) else sorted(
         {*cusp.symbols, *rows}, key=lambda s: s.id)
@@ -488,9 +505,9 @@ def _admitted_ends(cusp, rho, n: int) -> tuple:
 
 
 def _admissible_rows(cusp, rho, blocks):
-    """Every row at rho over cusp on exactly these sorted blocks that the peel admits, signed
-    on the singles where defined, else on the pairs, as a row map (empty for no blocks):
-    one per choice of up steps of a walk to an admitted end; step i leaves parity i."""
+    """Every row at rho over cusp on exactly these sorted blocks that the peel admits, signed by
+    ``_signed_row``, as a row map (empty for no blocks): one per choice of up steps of a walk to
+    an admitted end; step i leaves parity i."""
     n = len(blocks)
     derive = singles_defined(cusp, rho)
     down = [MINUS if i % 2 == 0 else PLUS for i in range(n)]
@@ -499,22 +516,7 @@ def _admissible_rows(cusp, rho, blocks):
             letters = down.copy()
             for i in ups:
                 letters[i] = -letters[i]
-            row = ((blocks, dict(zip(blocks, letters)), {}) if derive else (blocks, {}, {
-                (lo, hi): v * w for lo, hi, v, w in zip(blocks, blocks[1:], letters, letters[1:])}))
-            yield {rho: row} if blocks else {}
-
-
-def _signed_row(blocks, letters, derive) -> tuple:
-    """The row on the sorted blocks signed by their letters: on the singles
-    where ``derive`` says they are defined, else on the adjacent pairs."""
-    if derive:
-        return blocks, {a: letters[a] for a in blocks}, {}
-    return blocks, {}, {(lo, hi): letters[lo] * letters[hi] for lo, hi in zip(blocks, blocks[1:])}
-
-
-def _keep(t: JordanTriple, rho, letters, kept) -> JordanTriple:
-    """t with the row at rho cut down to the blocks kept, signed by their letters."""
-    return _replace_row(t, rho, *_signed_row(kept, letters, singles_defined(t.cusp, rho)))
+            yield {rho: _signed_row(blocks, tuple(letters), derive)} if blocks else {}
 
 
 def is_admissible(t: JordanTriple):
@@ -528,12 +530,8 @@ def is_admissible(t: JordanTriple):
     if peels is None:
         return None
     chain, cur = [], t
-    for rho, letters, removals, _ in peels:
-        kept = t.jord_of(rho)
-        for lo, hi, _ in removals:
-            kept = tuple(a for a in kept if a != lo and a != hi)
-            cur = _keep(cur, rho, letters, kept)
-            chain.append(Reduction(rho, lo, hi, cur))
+    for rho, removals, _ in peels:
+        cur = _reduce_in_turn(chain, cur, rho, removals)
     return tuple(chain)
 
 
@@ -556,15 +554,13 @@ def dominates(t: JordanTriple, other: JordanTriple):
         raise ValueError("dominance only compares triples over one support")
     chain, cur = [], t
     for rho, row in t.rows.items():
-        blocks, letters, keep = row[0], _word(row, singles_defined(t.cusp, rho)), set(other.jord_of(rho))
-        stack = []
-        for i, a in enumerate(blocks):
-            if stack and letters[stack[-1]] == letters[a] and not {stack[-1], a} & keep:
-                lower = stack.pop()
-                cur = _keep(cur, rho, letters, tuple(stack) + blocks[i + 1:])
-                chain.append(Reduction(rho, lower, a, cur))
+        keep, stack, removals = set(other.jord_of(rho)), [], []
+        for a, v in zip(*row):
+            if stack and stack[-1][1] == v and stack[-1][0] not in keep and a not in keep:
+                removals.append((stack.pop()[0], a))
             else:
-                stack.append(a)
+                stack.append((a, v))
+        cur = _reduce_in_turn(chain, cur, rho, removals)
     return tuple(chain) if cur == other else None
 
 
@@ -577,36 +573,29 @@ def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
     block's single sign where singles are defined, else the crossing
     pair toward the predecessor, or toward the successor at the lower
     boundary.  A pair carrying -1 is refused as ``reduce_at`` refuses it."""
-    blocks, letters = _plus_pair_word(t, rho, lower, upper)
+    blocks, letters, i = _plus_pair(t, rho, lower, upper)
     if singles_defined(t.cusp, rho):
-        return letters[lower]
-    i = blocks.index(lower)
+        return letters[i]
     if i:
-        return letters[blocks[i - 1]] * letters[lower]
+        return letters[i - 1] * letters[i]
     if i + 2 < len(blocks):
-        return letters[upper] * letters[blocks[i + 2]]
+        return letters[i + 1] * letters[i + 2]
     raise NotAdmissibleError("a pair with no sign data cannot be linked")
 
 
-def _extend(t, rho, lower, upper, sign):
-    """Insert (lower, upper) at rho with value +1 and linking bit sign.
-    Of the preconditions of ``dominating_extensions`` it checks the gap;
-    t is admissible or an alternated base, so its blocks link the pair."""
-    blocks, singles, pairs = t.rows.get(rho, _EMPTY)
-    if any(lower <= x <= upper for x in blocks):
+def _insert(rho, derive, blocks, letters, lower, upper, sign):
+    """Insert the pair (lower, upper) at rho, carrying +1 with linking bit
+    sign, into the lists of sorted blocks and their letters: both new
+    letters are sign where ``derive`` says singles are defined, else sign
+    times the predecessor's letter, or the successor's at the lower
+    boundary, or +1 on an empty row; no other letter changes.  Raises
+    GapError when a block lies in [lower, upper]."""
+    i = bisect_left(blocks, lower)
+    if i < len(blocks) and blocks[i] <= upper:
         raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
-    grown = tuple(sorted(blocks + (lower, upper)))
-    if singles_defined(t.cusp, rho):
-        return _replace_row(t, rho, grown, {**singles, lower: sign, upper: sign}, pairs)
-    pred = max((x for x in blocks if x < lower), default=None)
-    succ = min((x for x in blocks if x > upper), default=None)
-    pairs = {**pairs, (lower, upper): PLUS}
-    if pred is not None:
-        pairs[(pred, lower)] = sign
-    if succ is not None:
-        # the bridge across the gap splits into the two crossing pairs
-        pairs[(upper, succ)] = sign if pred is None else pairs.pop((pred, succ)) * sign
-    return _replace_row(t, rho, grown, singles, pairs)
+    v = sign if derive else sign * letters[max(i - 1, 0)] if letters else PLUS
+    blocks[i:i] = lower, upper
+    letters[i:i] = v, v
 
 
 def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
@@ -621,8 +610,12 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if problem := _pair_error(rho, lower, upper):
         raise ValueError(problem)
-    return [_extend(t, rho, lower, upper, PLUS),
-            _extend(t, rho, lower, upper, MINUS)]
+    out = []
+    for sign in (PLUS, MINUS):
+        blocks, letters = map(list, t.rows.get(rho, _EMPTY))
+        _insert(rho, singles_defined(t.cusp, rho), blocks, letters, lower, upper, sign)
+        out.append(_replace_row(t, rho, tuple(blocks), tuple(letters)))
+    return out
 
 
 # -- canonical text form --------------------------------------------------
@@ -632,13 +625,18 @@ def _sign_char(v: int) -> str:
     return "+" if v == PLUS else "-"
 
 
+def _items(rows) -> tuple:
+    """The jord, single and pair items of rows ``(rho, blocks, singles, pairs)`` in text order, each
+    led by a space: singles as (block, sign) and pairs as ((lower, upper), sign), each in order."""
+    return ("".join(f" {rho.id}:{a}" for rho, blocks, _, _ in rows for a in blocks),
+            "".join(f" {rho.id}:{a}:{_sign_char(v)}" for rho, _, singles, _ in rows for a, v in singles),
+            "".join(f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for rho, _, _, pairs in rows for (lo, hi), v in pairs))
+
+
 def _row_items(cusp, rows) -> tuple:
-    """The jord, single and pair items of a row map over cusp in text order, each led by a space."""
-    return ("".join(f" {rho.id}:{a}" for rho, (blocks, _, _) in rows.items() for a in blocks),
-            "".join(f" {rho.id}:{a}:{_sign_char(v)}" for rho, (_, signs, _) in rows.items()
-                    for a, v in sorted(signs.items())),
-            "".join(f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for rho, row in rows.items()
-                    for (lo, hi), v in sorted(_pair_signs(cusp, rho, row).items())))
+    """The ``_items`` of a row map over cusp: the letters are the singles where defined."""
+    return _items([(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (), _pair_items(row))
+                   for rho, row in rows.items()])
 
 
 def _line(cusp, parts) -> str:

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from segtriples import (
     EVEN,
+    MINUS,
     ODD,
     PLUS,
     AlternatedWitness,
@@ -21,8 +22,11 @@ from segtriples import (
     ReductionChain,
     Segment,
     comult,
+    enumerate_admissible,
     induce,
     render_term,
+    triple_text,
+    validate_triple,
 )
 from helpers import coassoc_sides
 
@@ -200,8 +204,13 @@ def test_values_are_frozen():
     lambda: ReductionChain(JordanTriple(CuspidalSupport("c0")), ()),
     lambda: Reduction(r, 1, 3, JordanTriple(CuspidalSupport("c0"))),
     lambda: AlternatedWitness(()),
+    lambda: enumerate_admissible(CuspidalSupport("c0"), [r, q], max_a=5)[7],
+    lambda: JordanTriple(CuspidalSupport("c17", {r: {1, 7}}), [(r, 1), (r, 3), (r, 7)], None,
+                         {(r, 1, 3): PLUS, (r, 3, 7): MINUS}),
+    lambda: JordanTriple(CuspidalSupport("c0"), [(r, 1)]),
 ], ids=["CuspidalSymbol", "Segment", "GLTerm", "GSpinTerm", "HalfInt", "CuspidalSupport",
-        "ChainStep", "ReductionChain", "Reduction", "AlternatedWitness"])
+        "ChainStep", "ReductionChain", "Reduction", "AlternatedWitness",
+        "JordanTriple-enumerated", "JordanTriple-user-built", "JordanTriple-invalid"])
 def test_hashable_values_refuse_assignment(make):
     value = make()
     d = {value: 1}
@@ -211,6 +220,14 @@ def test_hashable_values_refuse_assignment(make):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value in d and d[make()] == 1
+
+
+def test_an_enumerated_triple_refuses_new_rows():
+    t = enumerate_admissible(CuspidalSupport("c0"), [r], max_a=5)[0]
+    text = triple_text(t)
+    with pytest.raises(AttributeError, match="JordanTriple is immutable"):
+        t.rows = {r: ((2,), (PLUS,))}
+    assert t.require_valid() is t and validate_triple(t) == [] and triple_text(t) == text
 
 
 @pytest.mark.parametrize("make", [

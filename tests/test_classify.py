@@ -34,8 +34,10 @@ from segtriples import (
     linking_sign,
     make_triple,
     parse_chain,
+    parse_triple,
     realize_chain,
     reduce_at,
+    singles_defined,
     subordinate_reductions,
     triple_text,
 )
@@ -185,11 +187,13 @@ def user_triple():
 
 
 def test_round_trip_validates_once_per_boundary(validations):
-    # canonical_chain validates the triple; realize_chain trusts the marked chain it built
+    # the constructor checked the triple; canonical_chain trusts its rows, realize_chain the marked chain
     t = user_triple()
+    assert t.rows is not None
     chain = canonical_chain(t)
     assert chain.steps and realize_chain(chain) == t
-    assert validations == [t]
+    assert validations == []
+    assert segtriples.triples.validate_triple(t) == [] and validations == [t]
 
 
 # each call gets fresh user-built triples and returns them with its result
@@ -555,11 +559,36 @@ def test_round_trip_across_an_enumeration():
 # -- the one-pass round trip -------------------------------------------------
 
 
+def reference_extend(t, rho, lower, upper, sign):
+    """t with the pair (lower, upper) inserted at rho, carrying +1 with
+    linking bit sign, by the pair-sign rule through the public
+    constructor: both singles take sign where defined; else the pair
+    toward the predecessor takes sign, and the pair toward the successor
+    the old bridge times sign, or sign at the lower boundary."""
+    blocks = t.jord_of(rho)
+    if any(lower <= a <= upper for a in blocks):
+        raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
+    jord = [(sym, a) for sym in t.symbols for a in t.jord_of(sym)] + [(rho, lower), (rho, upper)]
+    singles = {(sym, a): t.single(sym, a) for sym, a in jord if t.single(sym, a) is not None}
+    pairs = {key: v for key, v in t.pairs if not singles_defined(t.cusp, key[0])}
+    if singles_defined(t.cusp, rho):
+        singles[(rho, lower)] = singles[(rho, upper)] = sign
+    else:
+        pred = max((a for a in blocks if a < lower), default=None)
+        succ = min((a for a in blocks if a > upper), default=None)
+        pairs[(rho, lower, upper)] = PLUS
+        if pred is not None:
+            pairs[(rho, pred, lower)] = sign
+        if succ is not None:
+            pairs[(rho, upper, succ)] = sign if pred is None else pairs.pop((rho, pred, succ)) * sign
+    return make_triple(t.cusp, jord, singles, pairs)
+
+
 def folded(chain):
-    """The reference realization: one ``_extend`` per step, base-up, each a whole triple."""
+    """The reference realization: one ``reference_extend`` per step, base-up, each a whole triple."""
     cur = chain.base
     for step in chain.steps:
-        cur = segtriples.triples._extend(cur, step.rho, step.lower, step.upper, step.sign)
+        cur = reference_extend(cur, step.rho, step.lower, step.upper, step.sign)
     return cur
 
 
@@ -626,6 +655,29 @@ def test_a_pair_inserted_below_a_pair_signed_row_takes_the_successors_letter():
         assert_same_triple(got, folded(chain))
         assert got.pair(r, 1, 3) == got.pair(r, 5, 7) == PLUS
         assert got.pair(r, 3, 5) == -sign and got.pair(r, 7, 9) == sign
+
+
+@pytest.mark.parametrize("cusp,symbols,max_a", [(C0, [r, q], 9), (C17, [r], 13)])
+def test_hash_and_equality_agree_across_builders(cusp, symbols, max_a):
+    def same(u, v):
+        assert u == v and hash(u) == hash(v) and triple_text(u) == triple_text(v)
+
+    for t in enumerate_admissible(cusp, symbols, max_a=max_a):
+        same(t, parse_triple(triple_text(t), cusp, SYMBOLS))
+        same(t, realize_chain(canonical_chain(t)))
+        for red in subordinate_reductions(t):
+            same(red.result, parse_triple(triple_text(red.result), cusp, SYMBOLS))
+
+
+def test_a_pair_inserted_below_a_pair_signed_row_starts_its_word_at_plus_one():
+    # c17 carries no singles at r; the base's word is (+1, -1), and with the -1 bit the new
+    # pair's letters are -1, so the word is negated to start at +1
+    base = odd_triple(C17, [5, 7], pairs={(5, 7): MINUS})
+    for sign, extended in zip((PLUS, MINUS), dominating_extensions(base, 1, 3, r)):
+        realized = realize_chain(ReductionChain(base, (ChainStep(r, 1, 3, sign),)))
+        parsed = parse_triple(triple_text(realized), C17, SYMBOLS)
+        assert realized == extended == parsed and hash(realized) == hash(extended) == hash(parsed)
+        assert realized.rows == extended.rows == parsed.rows == {r: ((1, 3, 5, 7), (PLUS, PLUS, sign, -sign))}
 
 
 @pytest.mark.parametrize("base,steps,message", [

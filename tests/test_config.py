@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from segtriples import CuspidalSymbol, HalfInt, ODD
+from segtriples import CuspidalSymbol, HalfInt, InvalidTripleError, ODD, validate_triple
 from segtriples.config import (
     ConfigError,
     load_config,
@@ -95,7 +95,11 @@ def test_triples_parse_but_are_not_semantically_checked(tmp_path):
     })
     cfg = load_config(write(tmp_path, data))
     # the missing single is a semantic problem left to the check command
-    assert cfg.triples["odd"].jord_of(cfg.symbols["r"]) == (1,)
+    t = cfg.triples["odd"]
+    assert str(t) == "cusp=c0 ; jord= r:1 ; single= ; pair="
+    assert validate_triple(t) == ["missing single sign on r:1"]
+    with pytest.raises(InvalidTripleError, match="^missing single sign on r:1$"):
+        t.jord_of(cfg.symbols["r"])
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,9 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
-from helpers import odd_triple
+from segtriples.config import load_config
+from segtriples.triples import cuspidal_target
+from helpers import odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -104,13 +108,18 @@ def test_rows_store_pair_signs_only_where_singles_are_undefined():
     jord, singles = [(q, 2), (q, 4)], {(q, 2): PLUS, (q, 4): PLUS}
     t = JordanTriple(C0, jord, singles, {(q, 2, 4): PLUS})
     assert t == JordanTriple(C0, jord, singles) and hash(t) == hash(JordanTriple(C0, jord, singles))
-    assert t.rows == {q: ((2, 4), {2: PLUS, 4: PLUS}, {})}
+    assert t.rows == {q: ((2, 4), (PLUS, PLUS))}
     assert t.pairs == (((q, 2, 4), PLUS),)
     assert validate_triple(t) == []
-    for t in enumerate_admissible(C0, [r, q], max_a=7):
-        assert validate_triple(t) == []
-        for rho, (_, _, pairs) in t.rows.items():
-            assert not (singles_defined(C0, rho) and pairs), triple_text(t)
+    # no row stores a pair sign: each is its blocks and their letters, a
+    # word that starts at +1 where singles are undefined
+    for cusp in (C0, C17):
+        for t in enumerate_admissible(cusp, [r, q], max_a=7):
+            assert validate_triple(t) == []
+            for rho, row in t.rows.items():
+                blocks, letters = row
+                assert len(row) == 2 and len(blocks) == len(letters) > 0, triple_text(t)
+                assert singles_defined(cusp, rho) or letters[0] == PLUS, triple_text(t)
 
 
 @pytest.mark.parametrize("jord,singles,pairs", [
@@ -180,13 +189,12 @@ def test_require_valid_raises():
 
 
 def test_validate_ignores_the_valid_mark():
-    # _of_rows marks its result valid; the full check must still report every violation
+    # a triple with rows is valid by construction, yet the full check must still report every violation
     t = JordanTriple(C1, [(r, 2), (r, 3), (r, 5), (q, 2), (q, 4), (q, 6)],
                      {(r, 3): PLUS, (q, 2): PLUS, (q, 4): PLUS},
                      {(r, 3, 5): PLUS, (r, 3, 9): MINUS, (q, 2, 4): MINUS})
-    marked = JordanTriple._of_rows(t.cusp, t.rows)
-    assert marked._valid
-    assert validate_triple(marked) == [
+    assert t.rows is None
+    assert validate_triple(t) == [
         "block 2 is not a positive integer of odd parity at r",
         "single sign on r:3 is not in the domain",
         "missing single sign on q:6",
@@ -194,13 +202,48 @@ def test_validate_ignores_the_valid_mark():
         "missing pair sign on q:4-6",
         "missing pair sign on r:2-3",
         "pair sign on q:2-4 breaks the product rule",
-    ] == validate_triple(t)
+    ]
+    with pytest.raises(InvalidTripleError, match="^block 2 is not .* breaks the product rule$"):
+        t.require_valid()
+    # rows handed to the trusted builder are checked in full too
+    good = {q: ((2, 4, 6), (PLUS, PLUS, MINUS)), r: ((3, 5), (PLUS, PLUS))}
+    assert validate_triple(JordanTriple._of_rows(C1, good)) == []
+    for rows, problems in [
+        ({**good, r: ((2, 3), (PLUS, PLUS))}, ["block 2 is not a positive integer of odd parity at r"]),
+        ({**good, q: ((2, 4, 6), (PLUS, PLUS))}, ["missing single sign on q:6", "missing pair sign on q:4-6"]),
+        ({**good, r: ((3, 5), (MINUS, MINUS))}, ["the rows are not in canonical form"]),  # r starts at -1
+        ({**good, r: ((5, 3), (PLUS, PLUS))},
+         ["pair sign on r:5-3 is not adjacent", "missing pair sign on r:3-5"]),
+        ({r: good[r], q: good[q]}, ["the rows are not in canonical form"]),  # not in id order
+        ({**good, r: ((), ())}, ["the rows are not in canonical form"]),  # an empty row
+    ]:
+        assert validate_triple(JordanTriple._of_rows(C1, rows)) == problems, rows
+
+
+def test_an_invalid_triple_answers_only_for_its_check():
+    # the fixture config's "bad" triple loads, as config triples are parsed but not validated
+    base = str(Path(__file__).parent / "fixtures" / "base.json")
+    text = "cusp=c0 ; jord= r:1 ; single= ; pair="
+    bad = load_config(base).triples["bad"]
+    assert bad == JordanTriple(C0, [(r, 1)]) and hash(bad) == hash(JordanTriple(C0, [(r, 1)]))
+    assert bad == parse_triple(text, C0, SYMBOLS) and bad != JordanTriple(C0, [(r, 1)], {(r, 1): PLUS})
+    assert str(bad) == text and repr(bad) == f"JordanTriple<{text}>"
+    assert validate_triple(bad) == ["missing single sign on r:1"]
+    readers = [bad.require_valid, lambda: bad.jord_of(r), lambda: bad.single(r, 1), lambda: bad.pair(r, 1, 3),
+               lambda: bad.pairs, lambda: bad.size, lambda: bad.symbols, lambda: cuspidal_target(bad, r)]
+    for read in readers:
+        with pytest.raises(InvalidTripleError, match="^missing single sign on r:1$"):
+            read()
+    assert run_cli(["check", "--config", base, "--triple", "bad"]) == (
+        1, "violation: missing single sign on r:1\n", "")
 
 
 def test_a_marked_triple_is_an_unmarked_triple():
+    # an enumerated triple, built from rows and keeping its text, and one parsed from that text
     for marked in enumerate_admissible(C17, [r, q], max_a=6):
         t = parse_triple(triple_text(marked), C17, SYMBOLS)
-        assert marked._valid and not t._valid
+        assert marked._text is not None and t._text is None
+        assert list(marked.rows.items()) == list(t.rows.items())
         assert marked == t and hash(marked) == hash(t)
         assert repr(marked) == repr(t) and str(marked) == str(t)
 
