@@ -121,13 +121,18 @@ class HalfInt:
 
     __rmul__ = __mul__
 
+    # an exact int (never a bool) compares by its double, with no HalfInt built
     def __eq__(self, other):
+        if type(other) is int:
+            return self.twice == 2 * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.twice == other.twice
 
     def __lt__(self, other):
+        if type(other) is int:
+            return self.twice < 2 * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -9,7 +9,11 @@ blocks in a way that can be read off two equivalent routes:
 * by a closed-form case split on the sign of y.
 
 Both routes are implemented independently and the test suite checks
-them against each other; the analytic route is the oracle.
+them against each other; the analytic route is the oracle.  The pole
+scan evaluates the four shifts of those ratios at every block and counts
+their poles and zeros in doubled integers, building no object per block;
+``LRatio`` and ``intertwining_ratios`` are the same shifts in readable
+form, and the reference the test suite holds the scan against.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ class LRatio:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, numerator_shift, denominator_shift):
-        _set_numerator(self, HalfInt(numerator_shift))
-        _set_denominator(self, HalfInt(denominator_shift))
+        _set_numerator(self, _half(numerator_shift))
+        _set_denominator(self, _half(denominator_shift))
 
     def order_at_zero(self) -> int:
         """+1 for a pole, -1 for a zero, 0 otherwise."""
@@ -58,7 +62,7 @@ class EmbeddingDatum:
     def __init__(self, rho: CuspidalSymbol, x, y, base_jord=()):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
-        x, y = HalfInt(x), HalfInt(y)
+        x, y = _half(x), _half(y)
         span = x.twice - y.twice
         if span % 2 or span < 0:
             raise ValueError(f"x - y must be a nonnegative integer, got x={x}, y={y}")
@@ -85,13 +89,33 @@ _set_y = EmbeddingDatum.y.__set__
 _set_base_jord = EmbeddingDatum.base_jord.__set__
 
 
+def _half(value) -> HalfInt:
+    """value as a HalfInt, keeping a given one: HalfInts are frozen."""
+    return value if isinstance(value, HalfInt) else HalfInt(value)
+
+
+def _shifts(z: int, x2: int, y2: int) -> tuple[int, int, int, int]:
+    """Twice the four shifts at the block z, for x2 = 2x and y2 = 2y:
+    numerator and denominator of the first ratio, then of the second."""
+    half = z - 1  # twice (z-1)/2
+    return half - x2, half - y2 + 2, half + y2, half + x2 + 2
+
+
+def _raw_order(z: int, x2: int, y2: int, base_jord) -> int:
+    """plancherel_order_raw on a checked block, in integers: a shift of
+    zero is a pole in a numerator and a zero in a denominator."""
+    n1, d1, n2, d2 = _shifts(z, x2, y2)
+    base = 2 if z in base_jord else 0
+    return base + 2 * ((n1 == 0) - (d1 == 0) + (n2 == 0) - (d2 == 0))
+
+
 def intertwining_ratios(z: int, emb: EmbeddingDatum):
-    """The two distinct L-ratios governing the block z; each occurs twice
-    in the Plancherel measure by the s to -s symmetry."""
-    half, x, y = z - 1, emb.x.twice, emb.y.twice  # twice (z-1)/2, x and y
-    first = LRatio(HalfInt.from_twice(half - x), HalfInt.from_twice(half - y + 2))
-    second = LRatio(HalfInt.from_twice(half + y), HalfInt.from_twice(half + x + 2))
-    return first, second
+    """The two distinct L-ratios governing the block z at emb.rho; each
+    occurs twice in the Plancherel measure by the s to -s symmetry."""
+    if problem := emb.rho.block_error(z):
+        raise ValueError(problem)
+    n1, d1, n2, d2 = map(HalfInt.from_twice, _shifts(z, emb.x.twice, emb.y.twice))
+    return LRatio(n1, d1), LRatio(n2, d2)
 
 
 def plancherel_order_raw(z: int, emb: EmbeddingDatum) -> int:
@@ -100,9 +124,7 @@ def plancherel_order_raw(z: int, emb: EmbeddingDatum) -> int:
     otherwise, plus twice the order of each distinct ratio."""
     if problem := emb.rho.block_error(z):
         raise ValueError(problem)
-    first, second = intertwining_ratios(z, emb)
-    base = 2 if z in emb.base_jord else 0
-    return base + 2 * (first.order_at_zero() + second.order_at_zero())
+    return _raw_order(z, emb.x.twice, emb.y.twice, emb.base_jord)
 
 
 def plancherel_order(z: int, emb: EmbeddingDatum) -> int:
@@ -121,9 +143,15 @@ def plancherel_order(z: int, emb: EmbeddingDatum) -> int:
 
 
 def jordan_set_from_pole_orders(emb: EmbeddingDatum, z_max: int) -> frozenset[int]:
-    """Analytic route: the Jordan blocks z <= z_max at emb.rho, taken
-    from ``rho.blocks_upto``, whose Plancherel order comes out 2."""
-    return frozenset(z for z in emb.rho.blocks_upto(z_max) if plancherel_order(z, emb) == 2)
+    """Analytic route: the Jordan blocks z <= z_max at emb.rho whose
+    Plancherel order comes out 2.
+
+    The blocks come from ``rho.blocks_upto``, which yields only positive
+    integers of rho's parity, so no z is checked again; each is scored
+    by its raw order, which is >= 2 exactly when the clamped order is 2.
+    """
+    x2, y2, base_jord = emb.x.twice, emb.y.twice, emb.base_jord
+    return frozenset(z for z in emb.rho.blocks_upto(z_max) if _raw_order(z, x2, y2, base_jord) >= 2)
 
 
 def jord_update(emb: EmbeddingDatum) -> frozenset[int]:

@@ -22,7 +22,9 @@ from segtriples import (
     chain_violations,
     dominating_extensions,
     enumerate_admissible,
+    intertwining_ratios,
     plancherel_order,
+    plancherel_order_raw,
     validate_triple,
 )
 from segtriples.config import load_config
@@ -87,6 +89,10 @@ ENTRY_POINTS = {
         lambda: EmbeddingDatum(rho, X[rho.id], X[rho.id], {a}))),
     "plancherel_order": ("", lambda rho, a, tmp_path: _raised(
         lambda: plancherel_order(a, EmbeddingDatum(rho, X[rho.id], X[rho.id])))),
+    "plancherel_order_raw": ("", lambda rho, a, tmp_path: _raised(
+        lambda: plancherel_order_raw(a, EmbeddingDatum(rho, X[rho.id], X[rho.id])))),
+    "intertwining_ratios": ("", lambda rho, a, tmp_path: _raised(
+        lambda: intertwining_ratios(a, EmbeddingDatum(rho, X[rho.id], X[rho.id])))),
     "dominating_extensions": ("", lambda rho, a, tmp_path: _raised(
         lambda: dominating_extensions(JordanTriple(C0), a, TOP[rho.id], rho))),
     "chain_violations": ("step 0: ", lambda rho, a, tmp_path: chain_violations(

@@ -43,6 +43,16 @@ def test_embedding_datum_validation():
         EmbeddingDatum(r, HalfInt(2), HalfInt(0.5))  # x - y not an integer
 
 
+def test_given_half_integers_are_kept():
+    h = HalfInt(2)
+    emb = EmbeddingDatum(r, h, h)
+    assert emb.x is h and emb.y is h
+    ratio = LRatio(h, h)
+    assert ratio.numerator_shift is h and ratio.denominator_shift is h
+    # ints and floats are still converted
+    assert EmbeddingDatum(r, 2, 1.0).y == HalfInt(1)
+
+
 def test_ratio_shifts():
     emb = EmbeddingDatum(r, 2, 1, {1})
     first, second = intertwining_ratios(5, emb)
@@ -84,6 +94,41 @@ def test_order_checks_its_inputs():
         plancherel_order(2, emb)  # wrong parity
     with pytest.raises(ValueError):
         plancherel_order(0, emb)
+
+
+def _embeddings(rho):
+    """Every EmbeddingDatum with -3 <= y <= x <= 6 at rho, over every
+    subset of its first four blocks."""
+    pool = _pools(rho, 8)
+    for x, y in _grid(rho, -6, 12):
+        for k in range(len(pool) + 1):
+            for base in itertools.combinations(pool, k):
+                yield EmbeddingDatum(rho, x, y, base)
+
+
+@pytest.mark.parametrize("rho", [r, q], ids=["odd", "even"])
+def test_integer_order_matches_the_ratios(rho):
+    # the raw order counted on doubled integers against the LRatio form
+    checked = fired = 0
+    for emb in _embeddings(rho):
+        for z in _pools(rho, 15):
+            ratios = intertwining_ratios(z, emb)
+            expected = (2 if z in emb.base_jord else 0) + 2 * sum(f.order_at_zero() for f in ratios)
+            assert plancherel_order_raw(z, emb) == expected, (emb, z)
+            checked += 1
+            fired += any(f.order_at_zero() for f in ratios)
+    assert checked > 5000 and fired > 1000
+
+
+@pytest.mark.parametrize("rho", [r, q], ids=["odd", "even"])
+def test_pole_scan_matches_the_clamped_orders(rho):
+    first = rho.blocks_upto(2)[0]
+    for emb in _embeddings(rho):
+        for z_max in range(-1, 16):
+            got = jordan_set_from_pole_orders(emb, z_max)
+            assert got == {z for z in rho.blocks_upto(z_max) if plancherel_order(z, emb) == 2}
+            if z_max < first:
+                assert got == frozenset()
 
 
 def test_update_consumes_and_grows():
