@@ -26,7 +26,8 @@ class HalfInt:
 
     Construct from an int, another HalfInt, or a float that is an exact
     multiple of 1/2.  ``HalfInt.from_twice(n)`` builds n/2 directly.
-    Values are frozen.
+    Values are frozen, so ``HalfInt.of(v)`` returns a given HalfInt
+    itself and converts anything else.
     """
 
     __slots__ = ("twice",)
@@ -53,6 +54,11 @@ class HalfInt:
         obj = cls.__new__(cls)
         _set_twice(obj, twice)
         return obj
+
+    @classmethod
+    def of(cls, value) -> "HalfInt":
+        """value as a HalfInt, keeping a given one: HalfInts are frozen."""
+        return value if isinstance(value, HalfInt) else cls(value)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -121,18 +127,13 @@ class HalfInt:
 
     __rmul__ = __mul__
 
-    # an exact int (never a bool) compares by its double, with no HalfInt built
     def __eq__(self, other):
-        if type(other) is int:
-            return self.twice == 2 * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.twice == other.twice
 
     def __lt__(self, other):
-        if type(other) is int:
-            return self.twice < 2 * other
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -35,8 +35,8 @@ class LRatio:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, numerator_shift, denominator_shift):
-        _set_numerator(self, _half(numerator_shift))
-        _set_denominator(self, _half(denominator_shift))
+        _set_numerator(self, HalfInt.of(numerator_shift))
+        _set_denominator(self, HalfInt.of(denominator_shift))
 
     def order_at_zero(self) -> int:
         """+1 for a pole, -1 for a zero, 0 otherwise."""
@@ -62,7 +62,7 @@ class EmbeddingDatum:
     def __init__(self, rho: CuspidalSymbol, x, y, base_jord=()):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
-        x, y = _half(x), _half(y)
+        x, y = HalfInt.of(x), HalfInt.of(y)
         span = x.twice - y.twice
         if span % 2 or span < 0:
             raise ValueError(f"x - y must be a nonnegative integer, got x={x}, y={y}")
@@ -87,11 +87,6 @@ _set_rho = EmbeddingDatum.rho.__set__
 _set_x = EmbeddingDatum.x.__set__
 _set_y = EmbeddingDatum.y.__set__
 _set_base_jord = EmbeddingDatum.base_jord.__set__
-
-
-def _half(value) -> HalfInt:
-    """value as a HalfInt, keeping a given one: HalfInts are frozen."""
-    return value if isinstance(value, HalfInt) else HalfInt(value)
 
 
 def _shifts(z: int, x2: int, y2: int) -> tuple[int, int, int, int]:

@@ -119,22 +119,22 @@ def test_ordering_against_ints():
         HalfInt(-1), HalfInt.from_twice(1), HalfInt(2)]
 
 
-def test_an_int_compares_without_coercion(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError(f"coerced {other!r}")
-
-    monkeypatch.setattr(HalfInt, "_coerce", refuse)
-    assert HalfInt(1) == 1 and 1 == HalfInt(1) and HalfInt(1) != 2
-    assert HalfInt.from_twice(1) < 1 and HalfInt(2) >= 2 and HalfInt.from_twice(5) > 2
-    assert HalfInt(10**400) == 10**400 and HalfInt.from_twice(2 * 10**400 - 1) < 10**400
-
-
-def test_other_types_still_go_through_coercion():
+def test_bool_and_float_comparisons():
     # bool is not a half-integer and a float is never equal to a HalfInt
     assert HalfInt(1) != True and True != HalfInt(1)
     assert not HalfInt(1) == 1.0
     with pytest.raises(TypeError):
         HalfInt(1) < True
+
+
+def test_of_keeps_a_given_value():
+    h = HalfInt.from_twice(3)
+    assert HalfInt.of(h) is h
+    assert HalfInt.of(2) == HalfInt(2) and HalfInt.of(-1.5) == HalfInt.from_twice(-3)
+    with pytest.raises(TypeError):
+        HalfInt.of(True)
+    with pytest.raises(ValueError):
+        HalfInt.of(0.25)
 
 
 def test_is_integer_and_int_conversion():

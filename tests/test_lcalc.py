@@ -108,11 +108,18 @@ def _embeddings(rho):
 
 @pytest.mark.parametrize("rho", [r, q], ids=["odd", "even"])
 def test_integer_order_matches_the_ratios(rho):
-    # the raw order counted on doubled integers against the LRatio form
+    # the raw order counted on doubled integers against the LRatio form,
+    # whose shifts are worked out here in HalfInt arithmetic
     checked = fired = 0
     for emb in _embeddings(rho):
+        x, y = emb.x, emb.y
         for z in _pools(rho, 15):
+            half = HalfInt.from_twice(z - 1)  # (z-1)/2
             ratios = intertwining_ratios(z, emb)
+            first, second = ratios
+            shifts = (first.numerator_shift, first.denominator_shift,
+                      second.numerator_shift, second.denominator_shift)
+            assert shifts == (half - x, half - y + 1, half + y, half + x + 1), (emb, z)
             expected = (2 if z in emb.base_jord else 0) + 2 * sum(f.order_at_zero() for f in ratios)
             assert plancherel_order_raw(z, emb) == expected, (emb, z)
             checked += 1
