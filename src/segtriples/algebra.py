@@ -112,7 +112,7 @@ class Segment:
     def __init__(self, rho: CuspidalSymbol, a, b):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
-        a, b = HalfInt(a), HalfInt(b)
+        a, b = HalfInt.of(a), HalfInt.of(b)
         span = b.twice - a.twice
         if span % 2:
             raise ValueError(f"segment endpoints must differ by an integer: a={a}, b={b}")
@@ -418,14 +418,19 @@ def comult(seg: Segment) -> FormalSum:
     pair: the sum over i from a-1 to b of
     [nu^(i+1) rho, nu^b rho] (x) [nu^a rho, nu^i rho],
     with b-a+2 terms in total, all of coefficient one.  The boundary
-    values of i contribute the unit on one side.
+    values of i contribute the unit on one side.  The terms, pairwise
+    distinct, are built in doubled integers from the segment's key
+    through the trusted constructors.
     """
     if seg.is_empty:
         raise ValueError("the comultiplication is defined on nonempty segments")
-    out = {}
-    for i in HalfInt.range_inclusive(seg.a - 1, seg.b):
-        left = GLTerm.of(Segment(seg.rho, i + 1, seg.b))
-        right = GLTerm.of(Segment(seg.rho, seg.a, i))
-        key = (left, right)
-        out[key] = out.get(key, 0) + 1
-    return FormalSum(out)
+    rho, (rid, a, b) = seg.rho, seg.key  # doubled endpoints; 2i runs over a-2, ..., b
+    unit = GLTerm._trusted((), ())
+
+    def term(lo, hi):  # the GL term of [lo/2, hi/2], or the unit when that is empty
+        if hi < lo:
+            return unit
+        s = Segment._trusted(rho, (rid, lo, hi))
+        return GLTerm._trusted((s,), (s.key,))
+
+    return FormalSum._trusted({(term(i + 2, b), term(a, i)): 1 for i in range(a - 2, b + 1, 2)})

@@ -34,7 +34,6 @@ from .triples import (
     _peels,
     _Record,
     _row_items,
-    _set,
     _sign,
     _sign_char,
     _signed_row,
@@ -55,13 +54,17 @@ class InvalidChainError(ValueError):
 
 
 class ChainStep(_Record):
+    """One step of a chain: insert the pair (lower, upper) at rho with the
+    linking bit sign; the fields are filled through ``_Record._setters``."""
+
     __slots__ = __match_args__ = ("rho", "lower", "upper", "sign")
 
     def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, sign: int):
-        _set(self, "rho", rho)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "sign", sign)
+        put = self._setters
+        put[0](self, rho)
+        put[1](self, lower)
+        put[2](self, upper)
+        put[3](self, sign)
 
 
 class ReductionChain(_Record):
@@ -71,16 +74,18 @@ class ReductionChain(_Record):
     and by a ``chain_violations`` that finds nothing on a tuple of
     steps; ``require_valid`` checks only an unmarked chain.  The mark is
     no constructor argument and takes no part in equality, hashing, repr
-    or text.
+    or text.  The fields are filled through ``_Record._setters``, the
+    mark through its own slot's ``__set__``.
     """
 
     __slots__ = ("base", "steps", "_valid")
     __match_args__ = ("base", "steps")
 
     def __init__(self, base: JordanTriple, steps: tuple):
-        _set(self, "base", base)
-        _set(self, "steps", steps)
-        _set(self, "_valid", False)
+        put = self._setters
+        put[0](self, base)
+        put[1](self, steps)
+        _set_valid(self, False)
 
     def require_valid(self):
         if not self._valid and (problems := chain_violations(self)):
@@ -89,6 +94,9 @@ class ReductionChain(_Record):
 
     def __str__(self):
         return chain_text(self)
+
+
+_set_valid = ReductionChain._valid.__set__
 
 
 def chain_violations(chain: ReductionChain) -> list:
@@ -122,26 +130,26 @@ def chain_violations(chain: ReductionChain) -> list:
                for prev, cur in zip(steps, steps[1:])):
             end, way = ("lower", "increase") if even else ("upper", "decrease")
             problems.append(f"{end} endpoints at {rho.id} must strictly {way} along the chain")
-    _set(chain, "_valid", not problems and isinstance(chain.steps, tuple))
+    _set_valid(chain, not problems and isinstance(chain.steps, tuple))
     return problems
 
 
 def canonical_chain(t: JordanTriple) -> ReductionChain:
     """The canonical chain of an admissible triple, base-up: the pairs
     ``is_admissible`` removes, each with its free linking bit, read off
-    each symbol's peel, over the survivors; only the base is built,
-    sharing each row the peel left whole.  The chain is marked valid,
-    so ``realize_chain`` does not check it."""
+    each symbol's peel, over the survivors; only the base is built, from
+    the rows the peel keeps as they are, sharing each row it left whole.
+    The chain is marked valid, so ``realize_chain`` does not check it."""
     peels = _peels(t.require_valid())
     if peels is None:
         raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, rows = [], {}
     for rho, removals, kept in peels:
         recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
-        if kept:
-            rows[rho] = _signed_row(*zip(*kept), singles_defined(t.cusp, rho)) if removals else t.rows[rho]
+        if kept[0]:
+            rows[rho] = kept
     chain = ReductionChain(JordanTriple._of_rows(t.cusp, rows), tuple(reversed(recorded)))
-    _set(chain, "_valid", True)
+    _set_valid(chain, True)
     return chain
 
 
@@ -160,11 +168,11 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     base = chain.base
     walks = {}
     for step in chain.steps:
-        rho, lower, upper, sign = step._values
-        if rho not in walks:
-            walks[rho] = (*map(list, base.rows.get(rho, _EMPTY)), singles_defined(base.cusp, rho))
-        blocks, letters, derive = walks[rho]
-        _insert(rho, derive, blocks, letters, lower, upper, sign)
+        rho = step.rho
+        if (walk := walks.get(rho)) is None:
+            walk = walks[rho] = (*map(list, base.rows.get(rho, _EMPTY)), singles_defined(base.cusp, rho))
+        blocks, letters, derive = walk
+        _insert(rho, derive, blocks, letters, step.lower, step.upper, step.sign)
     if not walks:
         return base
     rows = {**base.rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)

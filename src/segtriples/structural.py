@@ -27,7 +27,11 @@ Both build with the cyclic garbage collector paused, process-wide for
 the length of the call (a memo hit pauses nothing).  Objects are frozen
 and hash their key once, when built, and refer only to older values,
 tuples, strings and ints, so no build makes a reference cycle and
-refcounting frees every temporary.
+refcounting frees every temporary.  Pausing skips only the collections
+the temporaries would set off.  It does not skip the young-generation
+pass over every object the call keeps: the allocations still count, so
+that pass runs at the first allocation after the call, which in a timed
+caller is still inside the timing.
 """
 
 from __future__ import annotations

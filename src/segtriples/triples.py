@@ -34,9 +34,12 @@ symbol leave the other rows alone, the lemma gives: the canonical peel,
 the stack reduction of each row's word, decides admissibility; and t
 dominates u exactly when u is t cut down to some of its blocks and
 each run of blocks of t that u lacks reduces to the empty word.
-``_peels`` walks the peel over a triple's symbols for every reader,
-``_admissible_rows`` builds the rows it admits from ``_admitted_ends``,
-peeling none, and ``_insert`` is the one rule that grows a word.
+``_peels`` walks the peel over a triple's symbols for every reader;
+each symbol's peel looks the support up once, walks the row by index
+and keeps its survivors as a signed row, the row itself when it removes
+nothing, which a chain's base takes as it is.  ``_admissible_rows``
+builds the rows the peel admits from ``_admitted_ends``, peeling none,
+and ``_insert`` is the one rule that grows a word.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .algebra import EVEN, CuspidalSymbol, _immutable
 
 PLUS = 1
 MINUS = -1
-_set = object.__setattr__
 
 
 class InvalidTripleError(ValueError):
@@ -91,7 +93,7 @@ class CuspidalSupport:
 
     def jord_of(self, rho: CuspidalSymbol) -> frozenset:
         for sym, blocks in self._jord:
-            if sym == rho:
+            if sym is rho or sym == rho:
                 return blocks
         return frozenset()
 
@@ -329,13 +331,16 @@ def validate_triple(t: JordanTriple) -> list:
 
 class _Record:
     """A frozen slotted record over the fields named in ``__match_args__``: equal
-    only within its own class, hashed to agree, shown as a frozen dataclass is."""
+    only within its own class, hashed to agree, shown as a frozen dataclass is.
+    ``_setters`` holds those fields' slot descriptors' ``__set__``, in order,
+    through which a constructor fills them, as ``JordanTriple._of_rows`` does."""
 
     __slots__ = ()
     __setattr__ = __delattr__ = _immutable
 
     def __init_subclass__(cls):
         cls._values = property(attrgetter(*cls.__match_args__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __eq__(self, other):
         return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
@@ -352,15 +357,18 @@ class Reduction(_Record):
     __slots__ = __match_args__ = ("rho", "lower", "upper", "result")
 
     def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, result: JordanTriple):
-        _set(self, "rho", rho)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "result", result)
+        put = self._setters
+        put[0](self, rho)
+        put[1](self, lower)
+        put[2](self, upper)
+        put[3](self, result)
 
 
 def _plus_pair(t: JordanTriple, rho, lower: int, upper: int):
     """The row at rho of the valid t and the index of lower, where
     (lower, upper) is adjacent and carries +1: its two letters are equal."""
+    if not isinstance(rho, CuspidalSymbol):
+        raise TypeError("rho must be a CuspidalSymbol")
     blocks, letters = t._row(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
@@ -409,7 +417,7 @@ class AlternatedWitness(_Record):
     __slots__ = __match_args__ = ("matchings",)
 
     def __init__(self, matchings: tuple):
-        _set(self, "matchings", matchings)
+        self._setters[0](self, matchings)
 
     def matching_for(self, rho):
         for sym, rows in self.matchings:
@@ -440,7 +448,7 @@ def is_alternated(t: JordanTriple):
     peels = _peels(t.require_valid())
     if peels is None or any(removals for _, removals, _ in peels):
         return None
-    return AlternatedWitness(tuple((rho, tuple(zip((a for a, _ in kept), sorted(cuspidal_target(t, rho)))))
+    return AlternatedWitness(tuple((rho, tuple(zip(kept[0], sorted(cuspidal_target(t, rho)))))
                                    for rho, _, kept in peels))
 
 
@@ -450,25 +458,40 @@ def _peel(cusp, rho, row):
     until none is left, by stack-reducing the word from the top (even)
     or the bottom (odd).  ``(removals, kept)``: each removal's blocks
     with its ``linking_sign`` before it (None if unlinked, then the
-    target is missed), and the survivors as sorted (block, letter)
-    pairs; None if they miss the target."""
-    derive = singles_defined(cusp, rho)
+    target is missed), and the survivors as a row signed as
+    ``_signed_row`` signs one, or the given row itself if nothing was
+    removed; None if they miss the target.  The support is looked up
+    once, and the stack holds blocks only: the kept letters alternate."""
+    target = len(cusp.jord_of(rho))
     even = rho.parity == EVEN
-    word = tuple(zip(*row))
-    order = word[::-1] if even else word
-    stack, removals = [], []
-    for i, (a, v) in enumerate(order):
-        if not stack or stack[-1][1] != v:
-            stack.append((a, v))
+    derive = even or not target  # singles_defined, from the one lookup
+    blocks, letters = row
+    n = len(blocks)
+    # kept letters alternate, as equal neighbours cancel: top is the last, 0 on an empty stack
+    kept, removals, top = [], [], 0
+    for i in range(n - 1, -1, -1) if even else range(n):
+        v = letters[i]
+        if v != top:
+            kept.append(blocks[i])
+            top = v
             continue
-        b = stack.pop()[0]
+        b = kept.pop()
+        top = -v if kept else 0
         # rows without singles are odd: the predecessor is on the stack, the successor unread
-        near = stack[-1] if stack else order[i + 1] if i + 1 < len(order) else None
-        bit = v if derive else None if near is None else v * near[1]
-        removals.append((a, b, bit) if even else (b, a, bit))
-    kept = stack[::-1] if even else stack
-    zero = even and kept and kept[0][1] == PLUS  # the target gains the block 0
-    return (removals, kept) if len(kept) == len(cusp.jord_of(rho)) + bool(zero) else None
+        bit = (v if derive else v * top if kept
+               else v * letters[i + 1] if i + 1 < n else None)
+        removals.append((blocks[i], b, bit) if even else (b, blocks[i], bit))
+    if even:
+        kept.reverse()
+        target += top == PLUS  # the lowest block kept carries +1: the target gains the block 0
+    if len(kept) != target:
+        return None
+    if removals:
+        # alternating from the lowest block's letter: top at an even symbol; an odd one keeps
+        # blocks only where singles are undefined, and its word starts at +1 (``_signed_row``)
+        low = top if even else PLUS
+        row = tuple(kept), (low, -low) * (len(kept) // 2) + (low,) * (len(kept) % 2)
+    return removals, row
 
 
 def _peels(t: JordanTriple):
@@ -606,6 +629,8 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     lie in [lower, upper].  The two results differ exactly in the free
     linking bit; they are returned with the +1 bit first.
     """
+    if not isinstance(rho, CuspidalSymbol):
+        raise TypeError("rho must be a CuspidalSymbol")
     if _peels(t.require_valid()) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if problem := _pair_error(rho, lower, upper):

@@ -48,6 +48,7 @@ from segtriples import (
     is_alternated,
     linking_sign,
     make_triple,
+    parse_triple,
     realize_chain,
     reduce_at,
     singles_defined,
@@ -55,7 +56,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
-from segtriples.triples import _admissible_rows, _peel, cuspidal_target
+from segtriples.triples import _admissible_rows, _admitted_ends, _peel, cuspidal_target
 from helpers import gap_insertions
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -396,3 +397,51 @@ def test_count_by_jord_is_a_binomial(rho, t):
             blocks = rnd.sample(pool, n)
             want = len(list(reference_rows(cusp, rho, tuple(sorted(blocks)))))
             assert count_by_jord(cusp, {rho: blocks}) == want, (cusp, blocks)
+
+
+def unranked_triple(cusp, rho, n, rnd):
+    """A random admissible triple with n blocks at rho, unranked from its walk:
+    an end from ``_admitted_ends`` and a random set of up steps; step i leaves
+    a point of parity i, and up from an even point is a +1 letter."""
+    blocks = sorted(rnd.sample(rho.blocks_upto(4 * n), n))
+    ups = set(rnd.sample(range(n), (n + rnd.choice(_admitted_ends(cusp, rho, n))) // 2))
+    word = [PLUS if (i in ups) == (i % 2 == 0) else MINUS for i in range(n)]
+    jord = [(rho, a) for a in blocks]
+    if singles_defined(cusp, rho):
+        return make_triple(cusp, jord, dict(zip(jord, word)))
+    return make_triple(cusp, jord, {}, {(rho, lo, hi): v * w for lo, hi, v, w
+                                        in zip(blocks, blocks[1:], word, word[1:])})
+
+
+def stack_admits(t, rho):
+    """Whether the stack reduction of t's word at rho, read through the public
+    accessors from the top (even rho) or the bottom (odd rho), keeps the target."""
+    blocks = t.jord_of(rho)
+    word = [t.single(rho, a) for a in blocks] if singles_defined(t.cusp, rho) else list(
+        itertools.accumulate((t.pair(rho, lo, hi) for lo, hi in zip(blocks, blocks[1:])),
+                             lambda v, s: v * s, initial=PLUS))
+    stack = []
+    for v in word[::-1] if rho.parity == EVEN else word:
+        if stack and stack[-1] == v:
+            stack.pop()
+        else:
+            stack.append(v)
+    zero = rho.parity == EVEN and stack and stack[-1] == PLUS  # the lowest block kept carries +1
+    return len(stack) == len(t.cusp.jord_of(rho)) + bool(zero)
+
+
+@pytest.mark.parametrize("cusp, rho", [(C0, r), (C0, q), (C17, r), (Q6, q)],
+                         ids=["c0-r", "c0-q", "c17-r", "c6-q"])
+def test_long_rows_pass_the_round_trips(cusp, rho):
+    rnd = random.Random(f"long {cusp.id} {rho.id}")
+    for n in [50, 51, 400, 401] + [rnd.randrange(50, 401) for _ in range(4)]:
+        if not _admitted_ends(cusp, rho, n):
+            n += 1
+        t = unranked_triple(cusp, rho, n, rnd)
+        assert stack_admits(t, rho), n
+        chain = canonical_chain(t)
+        assert realize_chain(chain) == t
+        back = parse_triple(triple_text(t), cusp, {"r": r, "q": q})
+        assert back == t and hash(back) == hash(t)
+        assert is_alternated(chain.base) is not None
+        assert dominates(t, chain.base) is not None

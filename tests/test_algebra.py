@@ -353,6 +353,17 @@ def test_comult_coassociative(span):
         assert left == right
 
 
+@pytest.mark.parametrize("twice_a", [-3, -2, 1, 4])
+def test_comult_is_the_sum_of_the_public_splittings(twice_a):
+    for span in range(7):
+        a = HalfInt.from_twice(twice_a)
+        b = a + span
+        want = FormalSum({(GLTerm.of(Segment(q, i + 1, b)), GLTerm.of(Segment(q, a, i))): 1
+                          for i in HalfInt.range_inclusive(a - 1, b)})
+        got = comult(Segment(q, a, b))
+        assert got == want and str(got) == str(want)
+
+
 def test_comult_preserves_degree():
     s = seg(-1, 3)
     for (l, rt), _ in comult(s).terms:

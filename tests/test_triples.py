@@ -295,6 +295,16 @@ def test_reduce_at_guards():
         reduce_at(t, r, 3, 5)  # that pair carries -1
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: reduce_at(t, "r", 1, 3),
+    lambda t: linking_sign(t, "r", 1, 3),
+    lambda t: dominating_extensions(JordanTriple(C0), 1, 3, "r"),
+], ids=["reduce_at", "linking_sign", "dominating_extensions"])
+def test_entry_points_refuse_a_symbol_id(call):
+    with pytest.raises(TypeError, match="rho must be a CuspidalSymbol"):
+        call(odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS}))
+
+
 def test_reduce_at_refuses_an_invalid_triple():
     t = make_triple(C0, [(r, 1), (r, 3), (r, 5)], {(r, 1): PLUS, (r, 3): PLUS})  # r:5 unsigned
     with pytest.raises(InvalidTripleError, match="missing single sign on r:5"):
