@@ -411,6 +411,20 @@ def render_term(term, coeff: int = 1) -> str:
 _set_coeffs = FormalSum._coeffs.__set__
 
 
+def _segment_terms(rho: CuspidalSymbol):
+    """The GL unit and ``term(a, b)``, the GL term of the segment [a/2, b/2]
+    at rho, or the unit when that is empty, built trusted: nothing is checked."""
+    rid, unit = rho.id, GLTerm._trusted((), ())
+
+    def term(a, b):
+        if b < a:
+            return unit
+        s = Segment._trusted(rho, (rid, a, b))
+        return GLTerm._trusted((s,), (s.key,))
+
+    return unit, term
+
+
 def comult(seg: Segment) -> FormalSum:
     """Comultiplication of a segment in the GL Grothendieck group.
 
@@ -419,18 +433,11 @@ def comult(seg: Segment) -> FormalSum:
     [nu^(i+1) rho, nu^b rho] (x) [nu^a rho, nu^i rho],
     with b-a+2 terms in total, all of coefficient one.  The boundary
     values of i contribute the unit on one side.  The terms, pairwise
-    distinct, are built in doubled integers from the segment's key
-    through the trusted constructors.
+    distinct, are built in doubled integers from the segment's key by
+    ``_segment_terms``, as ``expand_induced`` builds its own.
     """
     if seg.is_empty:
         raise ValueError("the comultiplication is defined on nonempty segments")
-    rho, (rid, a, b) = seg.rho, seg.key  # doubled endpoints; 2i runs over a-2, ..., b
-    unit = GLTerm._trusted((), ())
-
-    def term(lo, hi):  # the GL term of [lo/2, hi/2], or the unit when that is empty
-        if hi < lo:
-            return unit
-        s = Segment._trusted(rho, (rid, lo, hi))
-        return GLTerm._trusted((s,), (s.key,))
-
+    _, a, b = seg.key  # doubled endpoints; 2i runs over a-2, ..., b
+    _, term = _segment_terms(seg.rho)
     return FormalSum._trusted({(term(i + 2, b), term(a, i)): 1 for i in range(a - 2, b + 1, 2)})

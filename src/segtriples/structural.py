@@ -12,8 +12,8 @@ plain suffix.  Every loop here walks sums unordered.
 The base rows are valid and the construction makes valid terms, so
 ``expand_induced`` checks nothing again.  It walks (i, j) in doubled
 integers read from the segment's key and builds each shed segment once
-per index and each kept segment once per pair, through the trusted
-``Segment._trusted`` and ``GLTerm._trusted``.  The base rows are grouped
+per index and each kept segment once per pair, trusted, through
+``algebra._segment_terms``, as ``comult`` does.  The base rows are grouped
 by their GL leg, so each leg is merged once with each shed term, and for
 each (i, j) each distinct induced leg of the base gets the kept segment
 on top once, through the trusted ``GSpinTerm._on_top``.  The rows of the
@@ -40,7 +40,7 @@ import gc
 from contextlib import contextmanager
 from operator import attrgetter
 
-from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable
+from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable, _segment_terms
 
 # The most base rows one expansion visits; depth 5 of r:[-1,2] over a cuspidal leaf visits 253,800.
 MAX_ROWS = 1_000_000
@@ -251,15 +251,8 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
         for (tau, sprime), c in table.lookup(base):
             by_tau.setdefault(tau, []).append((legs.setdefault(sprime, len(legs)), c))
         legs = list(legs)
-        rho, (rid, lo, hi) = seg.rho, seg.key  # doubled endpoints; 2i, 2j run over lo-2, ..., hi
-        unit = GLTerm._trusted((), ())
-
-        def term(a, b):  # the GL term of [a/2, b/2], or the unit when that is empty
-            if b < a:
-                return unit
-            s = Segment._trusted(rho, (rid, a, b))
-            return GLTerm._trusted((s,), (s.key,))
-
+        _, lo, hi = seg.key  # doubled endpoints; 2i, 2j run over lo-2, ..., hi
+        unit, term = _segment_terms(seg.rho)
         # for 2i = lo - 2 + 2p, sheds[p] holds [-i, k] and [i+1, l]
         sheds = [(term(-i, -lo), term(i + 2, hi)) for i in range(lo - 2, hi + 1, 2)]
         # pairs i < j first: the kept segment on top names the pair, and the
