@@ -7,25 +7,24 @@ comultiplication sends a segment to the sum of its suffix (x) prefix
 splittings.  Everything here is exact integer combinatorics: symbols,
 terms and sums are frozen (assigning an attribute raises
 AttributeError), and sums are multisets with positive integer
-coefficients.  Each term type
-builds one ``key`` over doubled integers that decides equality, hashing
-and order; GL terms hash their key once, when built.  HalfInt appears
-only where endpoints are given or read, and a sum sorts its terms only
-to render them.
+coefficients.  Each term type builds one ``key`` over doubled integers
+that decides equality, hashing and order; GL terms hash their key once,
+when built.  HalfInt appears only where endpoints are given or read.
+Text is written from the keys: a segment prints its doubled endpoints
+through ``halfint._half_text``, and terms and sums join their parts'
+texts.  A sum sorts its terms only to render them.
 
-The public constructors check what they are given.  Products of GL terms
-do not check again: both factors are already valid and sorted, so
-``GLTerm.__mul__`` merges their key tuples and builds the result through
-the trusted ``GLTerm._trusted``, which neither sorts nor checks.
-``Segment._trusted`` and ``FormalSum._trusted`` likewise take values a
-caller has built valid.
+The public constructors check what they are given.  The ``_trusted``
+builders, behind GL products, ``comult`` and the tower, take values a
+caller has built valid and neither sort nor check: a product merges its
+factors' sorted key tuples.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .halfint import HalfInt, _immutable
+from .halfint import HalfInt, _half_text, _immutable
 
 EVEN = "even"
 ODD = "odd"
@@ -164,12 +163,14 @@ class Segment:
         return hash(self.key)
 
     def __str__(self):
-        if self.is_empty:
+        rid, a, b = self.key
+        if b - a == -2:
             return "1"
-        return f"d([{self.a},{self.b}],{self.rho.id})"
+        return f"d([{_half_text(a)},{_half_text(b)}],{rid})"
 
     def __repr__(self):
-        return f"Segment({self.rho.id}, {self.a}, {self.b})"
+        rid, a, b = self.key
+        return f"Segment({rid}, {_half_text(a)}, {_half_text(b)})"
 
 
 class GLTerm:
@@ -247,7 +248,7 @@ class GLTerm:
     def __str__(self):
         if self.is_unit:
             return "1"
-        return " x ".join(str(s) for s in self.segments)
+        return " x ".join(map(str, self.segments))
 
     def __repr__(self):
         return f"GLTerm({list(self.segments)!r})"
@@ -281,13 +282,6 @@ def _merge_sorted(segs, keys, more_segs, more_keys):
     return tuple(segs), tuple(keys)
 
 
-def term_key(term):
-    """Canonical sort key for any term a FormalSum may carry."""
-    if isinstance(term, tuple):
-        return tuple(term_key(t) for t in term)
-    return term.key
-
-
 def _term_mul(s, t):
     """Product of two terms of the same grade, or GradeError."""
     if isinstance(s, GLTerm) and isinstance(t, GLTerm):
@@ -313,17 +307,14 @@ class FormalSum:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, coeffs=None):
-        is_dict = isinstance(coeffs, dict)
-        data = dict(coeffs) if is_dict else {}  # a copy hashes no term again
-        for term, c in (coeffs.items() if is_dict else coeffs or ()):
+        data = {}
+        for term, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs or ()):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError("coefficients must be integers")
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
-            if not is_dict:
+            if c:
                 data[term] = data.get(term, 0) + c
-        if 0 in data.values():
-            data = {term: c for term, c in data.items() if c}
         _set_coeffs(self, data)
 
     @classmethod
@@ -343,8 +334,10 @@ class FormalSum:
 
     @property
     def terms(self):
-        """Pairs (term, coefficient) in canonical order."""
-        return tuple(sorted(self._coeffs.items(), key=lambda kv: term_key(kv[0])))
+        """Pairs (term, coefficient) in canonical order: by a GL term's key,
+        or by the tuple of a tensor term's factor keys."""
+        return tuple(sorted(self._coeffs.items(), key=lambda kv: (
+            tuple(t.key for t in kv[0]) if isinstance(kv[0], tuple) else kv[0].key)))
 
     @property
     def total(self) -> int:
@@ -366,7 +359,7 @@ class FormalSum:
         merged = dict(self._coeffs)
         for term, c in other._coeffs.items():
             merged[term] = merged.get(term, 0) + c
-        return FormalSum(merged)
+        return FormalSum._trusted(merged)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -374,14 +367,14 @@ class FormalSum:
                 raise ValueError("scalars must be nonnegative")
             if other == 0:
                 return FormalSum()
-            return FormalSum({t: c * other for t, c in self._coeffs.items()})
+            return FormalSum._trusted({t: c * other for t, c in self._coeffs.items()})
         if isinstance(other, FormalSum):
             out = {}
             for s, cs in self._coeffs.items():
                 for t, ct in other._coeffs.items():
                     prod = _term_mul(s, t)
                     out[prod] = out.get(prod, 0) + cs * ct
-            return FormalSum(out)
+            return FormalSum._trusted(out)
         return NotImplemented
 
     def __eq__(self, other):
@@ -400,7 +393,7 @@ class FormalSum:
 
 def render_term(term, coeff: int = 1) -> str:
     if isinstance(term, tuple):
-        body = " (x) ".join(str(t) for t in term)
+        body = " (x) ".join(map(str, term))
     else:
         body = str(term)
     if coeff == 1:

@@ -107,12 +107,18 @@ def chain_violations(chain: ReductionChain) -> list:
     ignores the mark of ``require_valid``, and sets it when nothing is
     found and the steps are a tuple, which cannot change afterwards.
     """
-    problems = [f"base: {p}" for p in validate_triple(chain.base)]
+    if isinstance(chain.base, JordanTriple):
+        problems = [f"base: {p}" for p in validate_triple(chain.base)]
+    else:
+        problems = ["base: not a JordanTriple"]
     if not problems and is_alternated(chain.base) is None:
         problems.append("base triple is not of alternated type")
     by_rho = {}
     for i, step in enumerate(chain.steps):
         tag = f"step {i}"
+        if not isinstance(step, ChainStep):
+            problems.append(f"{tag}: not a ChainStep")
+            continue
         if not isinstance(step.rho, CuspidalSymbol):
             problems.append(f"{tag}: not a cuspidal symbol")
             continue
@@ -193,7 +199,7 @@ def _window(symbols, max_a, max_jord, jord_sets) -> dict:
         if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
     jord_sets = jord_sets or {}
-    ids = {rho.id: rho for rho in sorted(set(symbols), key=lambda s: s.id)}
+    ids = {rho.id: rho for rho in sorted(_symbol_set(symbols), key=lambda s: s.id)}
     if stray := [name for name in jord_sets if name not in ids]:
         raise ValueError(f"jord_sets names {stray[0]!r} outside the symbol list")
     window = {}
@@ -209,6 +215,14 @@ def _window(symbols, max_a, max_jord, jord_sets) -> dict:
             window[rho] = [(n, math.comb(len(pool), n), itertools.combinations(pool, n))
                            for n in range(top + 1)]
     return window
+
+
+def _symbol_set(symbols) -> set:
+    """The symbols as a set, or TypeError when one is no CuspidalSymbol."""
+    symbols = set(symbols)
+    if not all(isinstance(rho, CuspidalSymbol) for rho in symbols):
+        raise TypeError("symbols must be CuspidalSymbol objects")
+    return symbols
 
 
 def _window_size(cusp, window) -> int:
@@ -244,7 +258,8 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     ``jord_sets`` key names no listed symbol, a listed set holds a
     block that is not a Jordan block at its symbol or repeats one, a
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
-    window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first).
+    window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
+    and TypeError, before any is read, when a symbol is no CuspidalSymbol.
     Each triple keeps its text, joined from items made once per row; the build
     pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none.
     """
@@ -273,7 +288,8 @@ def _merged(maps) -> dict:
 
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
     """Admissible sign assignments on one exact block configuration, no row built."""
-    return _window_size(cusp, _window(jord, None, None, {rho.id: [jord[rho]] for rho in jord}))
+    jord_sets = {rho.id: [jord[rho]] for rho in _symbol_set(jord)}
+    return _window_size(cusp, _window(jord, None, None, jord_sets))
 
 
 def dominance_edges(triples) -> list:

@@ -20,6 +20,11 @@ def _immutable(self, *_):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+def _half_text(twice: int) -> str:
+    """The text of twice/2: "3", "-2", or the halves notation "5/2", "-1/2"."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
+
+
 @functools.total_ordering
 class HalfInt:
     """An element of (1/2)Z with exact comparisons and hashing.
@@ -74,11 +79,8 @@ class HalfInt:
     @staticmethod
     def range_inclusive(lo, hi):
         """Yield lo, lo+1, ... while the value stays <= hi."""
-        cur = HalfInt(lo)
-        hi = HalfInt(hi)
-        while cur <= hi:
-            yield cur
-            cur = cur + 1
+        for twice in range(HalfInt.of(lo).twice, HalfInt.of(hi).twice + 1, 2):
+            yield HalfInt.from_twice(twice)
 
     @property
     def is_integer(self) -> bool:
@@ -146,9 +148,7 @@ class HalfInt:
         return hash(self.twice * _HALF_MOD_HASH_PRIME)
 
     def __str__(self):
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return _half_text(self.twice)
 
     def __repr__(self):
         return f"HalfInt({self})"

@@ -9,29 +9,20 @@ the expansion of its base by the structural formula: a double sum over
 the ways the inducing segment can shed a contragredient prefix and a
 plain suffix.  Every loop here walks sums unordered.
 
-The base rows are valid and the construction makes valid terms, so
-``expand_induced`` checks nothing again.  It walks (i, j) in doubled
-integers read from the segment's key and builds each shed segment once
-per index and each kept segment once per pair, trusted, through
-``algebra._segment_terms``, as ``comult`` does.  The base rows are grouped
-by their GL leg, so each leg is merged once with each shed term, and for
-each (i, j) each distinct induced leg of the base gets the kept segment
-on top once, through the trusted ``GSpinTerm._on_top``.  The rows of the
-pairs i < j are pairwise distinct and stored without a lookup; only the
-i = j rows add into existing ones.  Of ``register``'s rules the result
-needs only the unit-left one, checked on the one pair whose shed term
-is the unit, before the sum is stored through ``FormalSum._trusted``;
-``register`` checks every entry handed to it in full.  ``flatten_sum``
-flattens each distinct leg once.
-Both build with the cyclic garbage collector paused, process-wide for
-the length of the call (a memo hit pauses nothing).  Objects are frozen
-and hash their key once, when built, and refer only to older values,
-tuples, strings and ints, so no build makes a reference cycle and
-refcounting frees every temporary.  Pausing skips only the collections
-the temporaries would set off.  It does not skip the young-generation
-pass over every object the call keeps: the allocations still count, so
-that pass runs at the first allocation after the call, which in a timed
-caller is still inside the timing.
+``register`` checks every entry handed to it in full.  The base rows
+are valid and the construction makes valid terms, so ``expand_induced``
+checks only the unit-left rule and ``induce`` only its top, and both
+build through the trusted builders.
+
+``expand_induced`` and ``flatten_sum`` pause the cyclic garbage
+collector, process-wide for the length of the call (a memo hit pauses
+nothing).  Objects are frozen, hash their key once, when built, and
+refer only to older values, tuples, strings and ints, so no build makes
+a reference cycle and refcounting frees every temporary.  Pausing skips
+only the collections the temporaries would set off, not the
+young-generation pass over every object the call keeps: the allocations
+still count, so that pass runs at the first allocation after the call,
+which in a timed caller is still inside the timing.
 """
 
 from __future__ import annotations
@@ -124,10 +115,7 @@ class GSpinTerm:
         return self._hash
 
     def __str__(self):
-        if self.is_cuspidal:
-            return self.base
-        stack = " |x ".join(str(t) for t in self.gl_terms)
-        return f"{stack} |x {self.base}"
+        return " |x ".join([*map(str, self.gl_terms), self.base])
 
     def __repr__(self):
         return f"GSpinTerm({list(self.gl_terms)!r}, {self.base!r})"
@@ -148,7 +136,7 @@ def induce(top, obj: GSpinTerm) -> GSpinTerm:
         raise TypeError("can only induce from a Segment or GLTerm")
     if top.is_unit:
         return obj
-    return GSpinTerm((top,) + obj.gl_terms, obj.base)
+    return obj._on_top(top)
 
 
 def _check_unit_rows(obj: GSpinTerm, unit_rows: list):

@@ -571,6 +571,8 @@ def dominates(t: JordanTriple, other: JordanTriple):
     the lowest block: a step only joins the blocks around it, so the
     next first step is the top of the stack against the next block, and
     only the triples on the chain are built."""
+    if not (isinstance(t, JordanTriple) and isinstance(other, JordanTriple)):
+        raise TypeError("dominance compares JordanTriple objects")
     t.require_valid()
     other.require_valid()
     if t.cusp != other.cusp:

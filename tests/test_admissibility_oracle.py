@@ -369,6 +369,39 @@ def reference_rows(cusp, rho, blocks):
             yield {rho: row} if blocks else {}
 
 
+def stack_count(cusp, rho, n):
+    """How many words on n blocks at rho the peel admits, by running its
+    stack on all of them at once.  The kept letters alternate, so a stack
+    is its height and top letter (0 when empty), and a letter equal to
+    the top pops it.  Even symbols are read from the top, odd ones from
+    the bottom; where singles are undefined the lowest letter is +1 (a
+    word counts only up to sign there).  Admitted: a height of the
+    cuspidal block count, plus one at an even symbol whose lowest kept
+    letter, the top at the end, is +1."""
+    even = rho.parity == EVEN
+    fixed = None if singles_defined(cusp, rho) else n - 1 if even else 0  # where the lowest letter is read
+    states = {(0, 0): 1}
+    for i in range(n):
+        letters = (PLUS,) if i == fixed else (PLUS, MINUS)
+        after = {}
+        for (height, top), count in states.items():
+            for v in letters:
+                state = (height + 1, v) if v != top else (height - 1, -v if height > 1 else 0)
+                after[state] = after.get(state, 0) + count
+        states = after
+    target = len(cusp.jord_of(rho))
+    return sum(count for (height, top), count in states.items() if height == target + (even and top == PLUS))
+
+
+@pytest.mark.parametrize("rho", [r, q], ids=lambda s: s.id)
+@pytest.mark.parametrize("t", range(4))
+def test_count_by_jord_is_the_stack_count(rho, t):
+    pool = rho.blocks_upto(420)
+    cusp = CuspidalSupport("c", {rho: pool[:t]})
+    for n in [*range(15), 51, 200, 201]:
+        assert count_by_jord(cusp, {rho: pool[:n]}) == stack_count(cusp, rho, n), n
+
+
 def frozen_rows(rows):
     """A row map as a hashable value."""
     return tuple(rows.items())

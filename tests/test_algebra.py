@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
+from segtriples.halfint import _half_text
 from helpers import coassoc_sides
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -123,6 +126,15 @@ def test_segment_text():
     assert str(seg(0, 2)) == "d([0,2],r)"
     assert str(Segment(q, HalfInt(-0.5), HalfInt(0.5))) == "d([-1/2,1/2],q)"
     assert str(seg(1, 0)) == "1"
+
+
+def test_half_text_is_the_text_of_the_fraction():
+    for twice in [*range(-400, 401), 10**30, -10**30, 10**30 + 1, -10**30 - 1]:
+        want = str(Fraction(twice, 2))
+        assert _half_text(twice) == str(HalfInt.from_twice(twice)) == want, twice
+        rho = q if twice % 2 else r
+        s = Segment(rho, HalfInt.from_twice(twice), HalfInt.from_twice(twice + 2))
+        assert repr(s) == f"Segment({rho.id}, {want}, {Fraction(twice + 2, 2)})", twice
 
 
 # -- GL terms ---------------------------------------------------------------

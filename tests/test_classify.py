@@ -158,6 +158,20 @@ def test_chain_ordering_invariants():
                for p in chain_violations(ReductionChain(base, bad)))
 
 
+def test_a_step_that_is_no_chain_step_is_reported():
+    chain = ReductionChain(JordanTriple(C0), ((r, 1, 3, PLUS),))
+    assert chain_violations(chain) == ["step 0: not a ChainStep"]
+    with pytest.raises(InvalidChainError, match="^step 0: not a ChainStep$"):
+        realize_chain(chain)
+
+
+def test_a_base_that_is_no_triple_is_reported():
+    chain = ReductionChain("x", ())
+    assert chain_violations(chain) == ["base: not a JordanTriple"]
+    with pytest.raises(InvalidChainError, match="^base: not a JordanTriple$"):
+        realize_chain(chain)
+
+
 def test_realize_validates_first():
     bad = ReductionChain(JordanTriple(C0), (ChainStep(r, 3, 1, PLUS),))
     with pytest.raises(InvalidChainError):
@@ -451,6 +465,16 @@ def test_count_by_jord():
     assert count_by_jord(C17, {r: {1, 7}}) == 1
     assert count_by_jord(C0, {}) == 1
     assert count_by_jord(C17, {q: {2, 4}}) == 0  # the support has blocks at r, left out
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_admissible(C0, ["r"], max_a=3),
+    lambda: enumerate_admissible(C0, [r, "q"], jord_sets={"r": [[1]]}),
+    lambda: count_by_jord(C0, {"r": [1, 3]}),
+], ids=["enumerate", "enumerate_mixed", "count_by_jord"])
+def test_a_symbol_id_is_refused_before_it_is_read(call):
+    with pytest.raises(TypeError, match="^symbols must be CuspidalSymbol objects$"):
+        call()
 
 
 def test_count_by_jord_multiplies_over_symbols():

@@ -1,8 +1,10 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,11 +26,12 @@ from segtriples import (
     flatten_sum,
     comult,
     induce,
+    render_term,
 )
 from segtriples import structural
 from segtriples.algebra import SizeLimitError
 from segtriples.config import load_config
-from helpers import comult_gl
+from helpers import comult_gl, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -304,8 +307,8 @@ MU_FIXTURE = load_config(Path(__file__).parent / "fixtures" / "mu_fixture.json")
 FIXTURE_BASE = next(iter(MU_FIXTURE.expansions))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.lists(segments(), min_size=1, max_size=3), st.sampled_from([C0, FIXTURE_BASE]))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=4), st.sampled_from([C0, FIXTURE_BASE]))
 def test_random_towers_are_multiplicative(segs, base):
     table = MU_FIXTURE.expansion_table()
     cur = base
@@ -317,6 +320,38 @@ def test_random_towers_are_multiplicative(segs, base):
     assert flatten_sum(out) == _multiplicative_mu_star(segs, base_rows)
     level_totals = [sum(c for _, c in _depth_one_rows(s)) for s in segs]
     assert out.total == math.prod(level_totals) * base_rows.total
+
+
+def _fraction_line(term, coeff):
+    """One line of ``mu-star`` output, written from the keys the term
+    carries with each doubled endpoint read as a Fraction."""
+    def gl(key):
+        return " x ".join(f"d([{Fraction(a, 2)},{Fraction(b, 2)}],{rid})" for rid, a, b in key) or "1"
+
+    gl_key, (stack, base) = term[0].key, term[1].key
+    body = f"{gl(gl_key)} (x) " + " |x ".join([*map(gl, stack), base])
+    return body if coeff == 1 else f"{coeff} * {body}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=3), st.sampled_from([C0, FIXTURE_BASE]))
+def test_rendered_towers_are_written_from_their_keys(segs, base):
+    table = MU_FIXTURE.expansion_table()
+    cur = base
+    for s in segs:
+        out = expand_induced(s, cur, table)
+        cur = induce(s, cur)
+    want = [_fraction_line(t, c) for t, c in sorted(out, key=lambda tc: (tc[0][0].key, tc[0][1].key))]
+    assert [render_term(t, c) for t, c in out.terms] == want
+    assert str(out) == " + ".join(want)
+
+
+def test_deep_mu_star_output_is_pinned():
+    code, out, _ = run_cli(["mu-star", "--config", str(Path(__file__).parent / "fixtures" / "base.json"),
+                            "--sigma", "c0"] + ["--seg", "r:[-1,2]"] * 4)
+    assert code == 0 and out.count("\n") == 16920
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8640b03895791c5ecc361a6937147551c3b0c8c540d0737eeefbdfe430430f8c")
 
 
 @settings(max_examples=150, deadline=None)

@@ -416,6 +416,13 @@ def test_dominates_examples():
     assert cur == target
 
 
+def test_dominates_refuses_a_value_that_is_no_triple():
+    t = odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS})
+    for args in [(t, "x"), ("x", t)]:
+        with pytest.raises(TypeError, match="^dominance compares JordanTriple objects$"):
+            dominates(*args)
+
+
 # -- extensions -----------------------------------------------------------------
 
 
