@@ -27,6 +27,7 @@ from .triples import (
     NotAdmissibleError,
     _admissible_rows,
     _admitted_ends,
+    _checked,
     _insert,
     _line,
     _pair_error,
@@ -146,7 +147,7 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
     each symbol's peel, over the survivors; only the base is built, from
     the rows the peel keeps as they are, sharing each row it left whole.
     The chain is marked valid, so ``realize_chain`` does not check it."""
-    peels = _peels(t.require_valid())
+    peels = _peels(_checked(t, JordanTriple, "t").require_valid())
     if peels is None:
         raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, rows = [], {}
@@ -227,7 +228,7 @@ def _symbol_set(symbols) -> set:
 
 def _window_size(cusp, window) -> int:
     """The admissible triples of a ``_window``, from its admitted ends; 0 if cusp has blocks outside."""
-    if any(rho not in window for rho in cusp.symbols):
+    if any(rho not in window for rho in _checked(cusp, CuspidalSupport, "cusp").symbols):
         return 0
     return math.prod(sum(how_many * math.comb(n, (n + e) // 2) for n, how_many, _ in groups
                          for e in _admitted_ends(cusp, rho, n)) for rho, groups in window.items())
@@ -259,9 +260,11 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     block that is not a Jordan block at its symbol or repeats one, a
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
-    and TypeError, before any is read, when a symbol is no CuspidalSymbol.
+    and TypeError, before any is read, when a symbol is no CuspidalSymbol or cusp no CuspidalSupport.
     Each triple keeps its text, joined from items made once per row; the build
-    pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none.
+    pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none,
+    and on the way out it moves them, with every other tracked object, to the oldest
+    generation, as ``structural`` sets out, so no young pass walks them after the call.
     """
     window = _window(symbols, max_a, max_jord, jord_sets)
     if (size := _window_size(cusp, window)) > MAX_TRIPLES:

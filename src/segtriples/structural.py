@@ -18,11 +18,17 @@ build through the trusted builders.
 collector, process-wide for the length of the call (a memo hit pauses
 nothing).  Objects are frozen, hash their key once, when built, and
 refer only to older values, tuples, strings and ints, so no build makes
-a reference cycle and refcounting frees every temporary.  Pausing skips
-only the collections the temporaries would set off, not the
-young-generation pass over every object the call keeps: the allocations
-still count, so that pass runs at the first allocation after the call,
-which in a timed caller is still inside the timing.
+a reference cycle and refcounting frees every temporary.  What a build
+keeps would survive every young and middle pass, so when the call turns
+the collector back on it first moves every tracked object to the oldest
+generation (``gc.freeze`` then ``gc.unfreeze``, which splice lists and
+walk nothing) and the allocation count starts again from zero: only a
+full collection visits the kept values, and no pass over them runs at
+the first allocation after the call.  The move is process-wide too: the
+caller's young objects are promoted with the build's, so a young
+reference cycle of the caller is freed at the next full collection
+instead of the next young one.  A caller that has frozen objects keeps
+them frozen: the move is skipped, and the collector only turned back on.
 """
 
 from __future__ import annotations
@@ -197,11 +203,19 @@ class ExpansionTable:
 
 @contextmanager
 def _collector_paused():
-    """Disable the cyclic collector; on exit re-enable it if it was on."""
+    """Disable the cyclic collector; on exit re-enable it if it was on.
+
+    After a build that completes, and before re-enabling, every tracked
+    object moves to the oldest generation and the young count resets,
+    unless the caller has frozen objects, which stay frozen.  A collector
+    the caller left disabled stays disabled and untouched."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        if enabled and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()

@@ -140,8 +140,7 @@ class JordanTriple:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, cusp: CuspidalSupport, jord=(), singles=None, pairs=None):
-        if not isinstance(cusp, CuspidalSupport):
-            raise TypeError("cusp must be a CuspidalSupport")
+        _checked(cusp, CuspidalSupport, "cusp")
         given = {}
         for rho, a in jord:
             given.setdefault(rho, (set(), {}, {}))[0].add(_integer(a, "block"))
@@ -266,6 +265,13 @@ _set_text = JordanTriple._text.__set__
 _EMPTY = ((), ())
 
 
+def _checked(value, cls, name: str):
+    """value, or TypeError, before any of its attributes is read, when it is no cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}")
+    return value
+
+
 def _integer(x, what: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"{what} {x!r} is not an integer")
@@ -319,7 +325,7 @@ def validate_triple(t: JordanTriple) -> list:
     A triple built from input keeps what its constructor found.  The
     rows of one the library built are checked in full: their text, read
     back as input, must build the same rows."""
-    if (found := getattr(t, "_problems", None)) is not None:
+    if (found := getattr(_checked(t, JordanTriple, "t"), "_problems", None)) is not None:
         return list(found)
     again = parse_triple(_line(t.cusp, [_row_items(t.cusp, t.rows)]), t.cusp, {rho.id: rho for rho in t.rows})
     return validate_triple(again) if again.rows is None or again._key == t._key else [
@@ -367,9 +373,8 @@ class Reduction(_Record):
 def _plus_pair(t: JordanTriple, rho, lower: int, upper: int):
     """The row at rho of the valid t and the index of lower, where
     (lower, upper) is adjacent and carries +1: its two letters are equal."""
-    if not isinstance(rho, CuspidalSymbol):
-        raise TypeError("rho must be a CuspidalSymbol")
-    blocks, letters = t._row(rho)
+    _checked(rho, CuspidalSymbol, "rho")
+    blocks, letters = _checked(t, JordanTriple, "t")._row(rho)
     if (lower, upper) not in zip(blocks, blocks[1:]):
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
     i = blocks.index(lower)
@@ -401,7 +406,7 @@ def subordinate_reductions(t: JordanTriple) -> list:
     """Every one-step subordination of t, in canonical witness order:
     symbol by symbol, each adjacent pair of equal letters, lowest first."""
     out = []
-    for rho, (blocks, letters) in t.require_valid().rows.items():
+    for rho, (blocks, letters) in _checked(t, JordanTriple, "t").require_valid().rows.items():
         out += [Reduction(rho, blocks[i], blocks[i + 1],
                           _replace_row(t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]))
                 for i in range(len(blocks) - 1) if letters[i] == letters[i + 1]]
@@ -445,7 +450,7 @@ def is_alternated(t: JordanTriple):
     block set to match the cuspidal target, so a nonempty target there
     rules the witness out.
     """
-    peels = _peels(t.require_valid())
+    peels = _peels(_checked(t, JordanTriple, "t").require_valid())
     if peels is None or any(removals for _, removals, _ in peels):
         return None
     return AlternatedWitness(tuple((rho, tuple(zip(kept[0], sorted(cuspidal_target(t, rho)))))
@@ -549,7 +554,7 @@ def is_admissible(t: JordanTriple):
     Compare the result against None: an alternated triple is admissible
     with the EMPTY chain, which is falsy.
     """
-    peels = _peels(t.require_valid())
+    peels = _peels(_checked(t, JordanTriple, "t").require_valid())
     if peels is None:
         return None
     chain, cur = [], t
@@ -631,9 +636,8 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     lie in [lower, upper].  The two results differ exactly in the free
     linking bit; they are returned with the +1 bit first.
     """
-    if not isinstance(rho, CuspidalSymbol):
-        raise TypeError("rho must be a CuspidalSymbol")
-    if _peels(t.require_valid()) is None:
+    _checked(rho, CuspidalSymbol, "rho")
+    if _peels(_checked(t, JordanTriple, "t").require_valid()) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if problem := _pair_error(rho, lower, upper):
         raise ValueError(problem)
@@ -674,7 +678,7 @@ def _line(cusp, parts) -> str:
 
 def triple_text(t: JordanTriple) -> str:
     """Canonical one-line serialization; parse_triple inverts it."""
-    return t._text or _line(t.cusp, [_row_items(t.cusp, t.rows)])
+    return _checked(t, JordanTriple, "t")._text or _line(t.cusp, [_row_items(t.cusp, t.rows)])
 
 
 def _parse_sign(ch: str) -> int:

@@ -2,6 +2,7 @@
 acceptance suite."""
 
 import contextlib
+import gc
 import io
 
 from segtriples import (
@@ -108,3 +109,12 @@ def run_cli(argv):
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def collections_during(call):
+    """The cyclic collections that start while call() runs, and its result.
+    A full collection first clears the young count, so none is owed before."""
+    gc.collect()
+    before = sum(gen["collections"] for gen in gc.get_stats())
+    result = call()
+    return sum(gen["collections"] for gen in gc.get_stats()) - before, result

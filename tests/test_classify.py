@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -40,9 +41,10 @@ from segtriples import (
     singles_defined,
     subordinate_reductions,
     triple_text,
+    validate_triple,
 )
 from segtriples.algebra import SizeLimitError
-from helpers import condition3_checks, odd_triple, run_cli
+from helpers import collections_during, condition3_checks, odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -451,6 +453,12 @@ def test_a_refusal_builds_and_peels_no_row(row_work):
     assert "_admissible_rows" in row_work and "_peel" not in row_work
 
 
+def test_enumeration_leaves_no_young_pass_owed():
+    passes, found = collections_during(lambda: enumerate_admissible(C0, [r, q], max_a=9))
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    assert passes == 0 and len(found) == 1785
+
+
 def test_enumeration_results_are_admissible_and_sorted():
     got = enumerate_admissible(C0, [r, q], max_a=4)
     texts = [triple_text(t) for t in got]
@@ -474,6 +482,27 @@ def test_count_by_jord():
 ], ids=["enumerate", "enumerate_mixed", "count_by_jord"])
 def test_a_symbol_id_is_refused_before_it_is_read(call):
     with pytest.raises(TypeError, match="^symbols must be CuspidalSymbol objects$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: reduce_at("x", r, 1, 3), "t must be a JordanTriple"),
+    (lambda: linking_sign("x", r, 1, 3), "t must be a JordanTriple"),
+    (lambda: is_admissible("x"), "t must be a JordanTriple"),
+    (lambda: is_alternated("x"), "t must be a JordanTriple"),
+    (lambda: subordinate_reductions("x"), "t must be a JordanTriple"),
+    (lambda: dominating_extensions("x", 1, 3, r), "t must be a JordanTriple"),
+    (lambda: canonical_chain("x"), "t must be a JordanTriple"),
+    (lambda: triple_text("x"), "t must be a JordanTriple"),
+    (lambda: validate_triple("x"), "t must be a JordanTriple"),
+    (lambda: dominance_edges(["x"]), "t must be a JordanTriple"),
+    (lambda: enumerate_admissible("c0", [r], max_a=3), "cusp must be a CuspidalSupport"),
+    (lambda: count_by_jord("c0", {r: [1]}), "cusp must be a CuspidalSupport"),
+], ids=["reduce_at", "linking_sign", "is_admissible", "is_alternated", "subordinate_reductions",
+        "dominating_extensions", "canonical_chain", "triple_text", "validate_triple",
+        "dominance_edges", "enumerate_admissible", "count_by_jord"])
+def test_a_value_of_the_wrong_type_is_refused_before_it_is_read(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         call()
 
 

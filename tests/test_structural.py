@@ -1,8 +1,10 @@
+import ast
 import gc
 import hashlib
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +33,7 @@ from segtriples import (
 from segtriples import structural
 from segtriples.algebra import SizeLimitError
 from segtriples.config import load_config
-from helpers import comult_gl, run_cli
+from helpers import collections_during, comult_gl, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -443,6 +445,60 @@ def test_expansion_leaves_a_disabled_collector_disabled(table):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_expansion_leaves_no_young_pass_owed(table):
+    s = Segment(r, -1, 2)
+    expand_induced(s, C0, table)
+    flatten_sum(expand_induced(s, induce(s, C0), table))
+    base = induce(s, induce(s, C0))
+    passes, out = collections_during(lambda: expand_induced(s, base, table))  # thousands kept
+    assert gc.get_count()[0] < gc.get_threshold()[0]
+    assert passes == 0 and len(out) == 1685
+    passes, _ = collections_during(lambda: flatten_sum(out))
+    assert gc.get_count()[0] < gc.get_threshold()[0] and passes == 0
+
+
+def test_expansion_leaves_frozen_objects_frozen(table):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        s = Segment(r, -1, 2)
+        expand_induced(s, C0, table)
+        flatten_sum(expand_induced(s, induce(s, C0), table))
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
+def test_a_callers_cycle_is_freed_by_a_full_collection(table):
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    s = Segment(r, -1, 2)
+    expand_induced(s, C0, table)
+    flatten_sum(expand_induced(s, induce(s, C0), table))
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_collector_is_switched_in_one_place():
+    # every name gc in the package lies in structural._collector_paused, and only structural imports it
+    names, imports = {}, {}
+    for path in sorted(Path(structural.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names[path.stem] = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "gc"]
+        imports[path.stem] = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "gc"
+                              or isinstance(n, ast.Import) and any(a.name == "gc" for a in n.names)]
+        if path.stem == "structural":
+            paused = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_collector_paused")
+            inside = [n for n in ast.walk(paused) if isinstance(n, ast.Name) and n.id == "gc"]
+    assert inside and names.pop("structural") == inside and not any(names.values())
+    assert [ast.unparse(n) for n in imports.pop("structural")] == ["import gc"] and not any(imports.values())
 
 
 def test_failed_expansion_leaves_the_collector_enabled(table):
