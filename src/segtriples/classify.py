@@ -10,15 +10,21 @@ Within one symbol the steps of a canonical chain are rigid: for even
 blocks the lower endpoints strictly increase along the chain, for odd
 blocks the upper endpoints strictly decrease.  ``chain_violations``
 enforces that shape, so foreign chains are rejected before any
-extension work happens.
+extension work happens.  A ``ChainStep`` is a named tuple of its
+fields, as ``triples._Record`` sets out, so ``len``, iteration and
+unpacking work on it; a ``ReductionChain`` is a frozen slotted value
+with a validity mark.  An enumeration writes its text once per block set
+(``triples._block_set_items``), not once per row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
+from operator import attrgetter
 
-from .algebra import EVEN, CuspidalSymbol, SizeLimitError
+from .algebra import EVEN, CuspidalSymbol, SizeLimitError, _immutable
 from .structural import _collector_paused
 from .triples import (
     _EMPTY,
@@ -27,20 +33,20 @@ from .triples import (
     NotAdmissibleError,
     _admissible_rows,
     _admitted_ends,
+    _block_set_items,
     _checked,
     _insert,
     _line,
+    _new,
     _pair_error,
     _parse_sign,
     _peels,
     _Record,
-    _row_items,
     _sign,
     _sign_char,
     _signed_row,
     is_alternated,
     parse_triple,
-    singles_defined,
     subordinate_reductions,
     triple_text,
     validate_triple,
@@ -54,38 +60,32 @@ class InvalidChainError(ValueError):
     """A chain failed validation; the message lists the violations."""
 
 
-class ChainStep(_Record):
+class ChainStep(_Record, namedtuple("ChainStep", "rho lower upper sign")):
     """One step of a chain: insert the pair (lower, upper) at rho with the
-    linking bit sign; the fields are filled through ``_Record._setters``."""
+    linking bit sign; a record as ``triples._Record`` sets out."""
 
-    __slots__ = __match_args__ = ("rho", "lower", "upper", "sign")
-
-    def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, sign: int):
-        put = self._setters
-        put[0](self, rho)
-        put[1](self, lower)
-        put[2](self, upper)
-        put[3](self, sign)
+    __slots__ = ()
 
 
-class ReductionChain(_Record):
-    """A base triple and the steps that extend it, base-up.
+class ReductionChain:
+    """A base triple and the steps that extend it, base-up, frozen: equal
+    only to a chain of its own class with equal fields, hashed to agree.
 
     A chain carries a mark that it is valid, set by ``canonical_chain``
     and by a ``chain_violations`` that finds nothing on a tuple of
     steps; ``require_valid`` checks only an unmarked chain.  The mark is
     no constructor argument and takes no part in equality, hashing, repr
-    or text.  The fields are filled through ``_Record._setters``, the
-    mark through its own slot's ``__set__``.
+    or text.  ``canonical_chain`` fills the three slots through their
+    descriptors, with no constructor call.
     """
 
     __slots__ = ("base", "steps", "_valid")
     __match_args__ = ("base", "steps")
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, base: JordanTriple, steps: tuple):
-        put = self._setters
-        put[0](self, base)
-        put[1](self, steps)
+        _set_base(self, base)
+        _set_steps(self, steps)
         _set_valid(self, False)
 
     def require_valid(self):
@@ -93,10 +93,23 @@ class ReductionChain(_Record):
             raise InvalidChainError("; ".join(problems))
         return self
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.base == other.base and self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.base, self.steps))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(base={self.base!r}, steps={self.steps!r})"
+
     def __str__(self):
         return chain_text(self)
 
 
+_set_base = ReductionChain.base.__set__
+_set_steps = ReductionChain.steps.__set__
 _set_valid = ReductionChain._valid.__set__
 
 
@@ -146,16 +159,21 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
     ``is_admissible`` removes, each with its free linking bit, read off
     each symbol's peel, over the survivors; only the base is built, from
     the rows the peel keeps as they are, sharing each row it left whole.
-    The chain is marked valid, so ``realize_chain`` does not check it."""
+    The chain is marked valid, so ``realize_chain`` does not check it;
+    each step is made by one ``tuple.__new__`` call, and the chain's
+    slots, mark included, are filled with no constructor call."""
     peels = _peels(_checked(t, JordanTriple, "t").require_valid())
     if peels is None:
         raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, rows = [], {}
     for rho, removals, kept in peels:
-        recorded += [ChainStep(rho, lo, hi, bit) for lo, hi, bit in removals]
+        recorded += [_new(ChainStep, (rho, *removal)) for removal in removals]
         if kept[0]:
             rows[rho] = kept
-    chain = ReductionChain(JordanTriple._of_rows(t.cusp, rows), tuple(reversed(recorded)))
+    recorded.reverse()
+    chain = object.__new__(ReductionChain)
+    _set_base(chain, JordanTriple._of_rows(t.cusp, rows))
+    _set_steps(chain, tuple(recorded))
     _set_valid(chain, True)
     return chain
 
@@ -168,25 +186,29 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     chains, and GapError at the first step whose interval meets a block
     already present.  A chain marked valid, as ``canonical_chain``
     builds it, is not checked again.  Each touched symbol keeps its
-    sorted blocks and letters, and each step inserts its pair into them
-    by ``_insert``, as ``dominating_extensions`` does.  Only the result is built.
+    sorted blocks and letters, and each step, unpacked as a tuple,
+    inserts its pair into them by ``_insert``, as ``dominating_extensions``
+    does.  Only the result is built; its rows are re-ordered by symbol id
+    only when it gains a symbol.
     """
     chain.require_valid()
     base = chain.base
+    cusp, rows = base.cusp, base.rows
     walks = {}
-    for step in chain.steps:
-        rho = step.rho
+    for rho, lower, upper, sign in chain.steps:
         if (walk := walks.get(rho)) is None:
-            walk = walks[rho] = (*map(list, base.rows.get(rho, _EMPTY)), singles_defined(base.cusp, rho))
+            blocks, letters = rows.get(rho, _EMPTY)
+            # the walk's blocks, letters and singles_defined, from one support lookup
+            walk = walks[rho] = list(blocks), list(letters), rho.parity == EVEN or not cusp.jord_of(rho)
         blocks, letters, derive = walk
-        _insert(rho, derive, blocks, letters, step.lower, step.upper, step.sign)
+        _insert(rho, derive, blocks, letters, lower, upper, sign)
     if not walks:
         return base
-    rows = {**base.rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
-                            for rho, (blocks, letters, derive) in walks.items()}}
-    if len(rows) > len(base.rows):
-        rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
-    return JordanTriple._of_rows(base.cusp, rows)
+    grown = {**rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
+                        for rho, (blocks, letters, derive) in walks.items()}}
+    if len(grown) > len(rows):
+        grown = dict(sorted(grown.items(), key=lambda kv: kv[0].id))
+    return JordanTriple._of_rows(cusp, grown)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -261,7 +283,8 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
     and TypeError, before any is read, when a symbol is no CuspidalSymbol or cusp no CuspidalSupport.
-    Each triple keeps its text, joined from items made once per row; the build
+    Each triple keeps its text, joined by lookup from texts written once per
+    block set (``_block_set_items``), and the result is sorted by it; the build
     pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none,
     and on the way out it moves them, with every other tracked object, to the oldest
     generation, as ``structural`` sets out, so no young pass walks them after the call.
@@ -272,13 +295,25 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     if not size:
         return []
     with _collector_paused():
-        per_symbol = [[rows for _, _, sets in groups for blocks in sets
-                       for rows in _admissible_rows(cusp, rho, blocks)] for rho, groups in window.items()]
-        items = [[_row_items(cusp, rows) for rows in survivors] for survivors in per_symbol]
+        per_symbol = [_admitted(cusp, rho, groups) for rho, groups in window.items()]
         found = [JordanTriple._of_rows(cusp, _merged(combo), _line(cusp, parts))
-                 for combo, parts in zip(itertools.product(*per_symbol), itertools.product(*items))]
-        found.sort(key=triple_text)
+                 for combo, parts in zip(itertools.product(*(rows for rows, _ in per_symbol)),
+                                         itertools.product(*(items for _, items in per_symbol)))]
+        found.sort(key=attrgetter("_text"))
     return found
+
+
+def _admitted(cusp, rho, groups) -> tuple:
+    """The row maps at rho the peel admits on a symbol's block sets, and each one's
+    ``_row_items``, from the texts ``_block_set_items`` writes once per block set with rows."""
+    rows, items = [], []
+    for _, _, sets in groups:
+        for blocks in sets:
+            if found := list(_admissible_rows(cusp, rho, blocks)):
+                texts = _block_set_items(cusp, rho, blocks)
+                rows += found
+                items += [texts(row.get(rho, _EMPTY)[1]) for row in found]
+    return rows, items
 
 
 def _merged(maps) -> dict:

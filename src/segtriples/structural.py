@@ -14,21 +14,25 @@ are valid and the construction makes valid terms, so ``expand_induced``
 checks only the unit-left rule and ``induce`` only its top, and both
 build through the trusted builders.
 
-``expand_induced`` and ``flatten_sum`` pause the cyclic garbage
-collector, process-wide for the length of the call (a memo hit pauses
-nothing).  Objects are frozen, hash their key once, when built, and
-refer only to older values, tuples, strings and ints, so no build makes
-a reference cycle and refcounting frees every temporary.  What a build
-keeps would survive every young and middle pass, so when the call turns
-the collector back on it first moves every tracked object to the oldest
-generation (``gc.freeze`` then ``gc.unfreeze``, which splice lists and
-walk nothing) and the allocation count starts again from zero: only a
-full collection visits the kept values, and no pass over them runs at
-the first allocation after the call.  The move is process-wide too: the
-caller's young objects are promoted with the build's, so a young
-reference cycle of the caller is freed at the next full collection
-instead of the next young one.  A caller that has frozen objects keeps
-them frozen: the move is skipped, and the collector only turned back on.
+``expand_induced``, ``flatten_sum`` and ``classify.enumerate_admissible``
+pause the cyclic garbage collector, process-wide for the length of the
+call (a memo hit pauses nothing).  Objects are frozen, hash their key
+once, when built, and refer only to older values, tuples, strings and
+ints, so no build makes a reference cycle and refcounting frees every
+temporary.  What a build keeps would survive every young and middle
+pass, so when the call turns the collector back on it first moves every
+tracked object to the oldest generation (``gc.freeze`` then
+``gc.unfreeze``, which splice lists) and the allocation count starts
+again from zero: only a full collection visits the kept values, and no
+pass over them runs at the first allocation after the call.  The move
+is process-wide too: the caller's young objects are promoted with the
+build's, so a young reference cycle of the caller is freed at the next
+full collection instead of the next young one.  A caller that has
+frozen objects keeps them frozen: the move is skipped, and the
+collector only turned back on.  Asking whether any are frozen
+(``gc.get_freeze_count``) walks every frozen object, once per call that
+builds: it costs nothing when none are, and about 12.6 ms a call with
+1,011,609 frozen (Python 3.11.7, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -207,8 +211,9 @@ def _collector_paused():
 
     After a build that completes, and before re-enabling, every tracked
     object moves to the oldest generation and the young count resets,
-    unless the caller has frozen objects, which stay frozen.  A collector
-    the caller left disabled stays disabled and untouched."""
+    unless the caller has frozen objects, which stay frozen; asking walks
+    every frozen object (see the module docstring).  A collector the caller
+    left disabled stays disabled and untouched."""
     enabled = gc.isenabled()
     gc.disable()
     try:

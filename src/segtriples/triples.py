@@ -40,13 +40,20 @@ and keeps its survivors as a signed row, the row itself when it removes
 nothing, which a chain's base takes as it is.  ``_admissible_rows``
 builds the rows the peel admits from ``_admitted_ends``, peeling none,
 and ``_insert`` is the one rule that grows a word.
+
+The records ``Reduction`` and ``AlternatedWitness`` (and
+``classify.ChainStep``) are named tuples of their fields (``_Record``),
+so ``len``, iteration and unpacking work on them.  A triple's text is
+``_row_items`` joined by ``_line``; an enumeration writes the same items
+once per block set (``_block_set_items``) and joins each row's by lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from operator import attrgetter, mul
+from collections import namedtuple
+from operator import getitem, mul
 
 from .algebra import EVEN, CuspidalSymbol, _immutable
 
@@ -336,38 +343,27 @@ def validate_triple(t: JordanTriple) -> list:
 
 
 class _Record:
-    """A frozen slotted record over the fields named in ``__match_args__``: equal
-    only within its own class, hashed to agree, shown as a frozen dataclass is.
-    ``_setters`` holds those fields' slot descriptors' ``__set__``, in order,
-    through which a constructor fills them, as ``JordanTriple._of_rows`` does."""
+    """The first base of a record whose second is the ``namedtuple`` of its
+    fields, so one ``tuple.__new__`` call makes it, its fields are C-level
+    item getters, and it is frozen; ``_new(cls, fields)`` makes one with no
+    Python frame.  A record is equal only within its own class, never to a
+    plain tuple or a subclass, and hashed as its fields."""
 
     __slots__ = ()
-    __setattr__ = __delattr__ = _immutable
-
-    def __init_subclass__(cls):
-        cls._values = property(attrgetter(*cls.__match_args__))
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+    def __ne__(self, other):
+        return not self == other
 
 
-class Reduction(_Record):
-    __slots__ = __match_args__ = ("rho", "lower", "upper", "result")
+_new = tuple.__new__
 
-    def __init__(self, rho: CuspidalSymbol, lower: int, upper: int, result: JordanTriple):
-        put = self._setters
-        put[0](self, rho)
-        put[1](self, lower)
-        put[2](self, upper)
-        put[3](self, result)
+
+class Reduction(_Record, namedtuple("Reduction", "rho lower upper result")):
+    __slots__ = ()
 
 
 def _plus_pair(t: JordanTriple, rho, lower: int, upper: int):
@@ -398,7 +394,7 @@ def _reduce_in_turn(chain: list, t: JordanTriple, rho, pairs) -> JordanTriple:
         i = blocks.index(lower)
         blocks, letters = blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]
         t = _replace_row(t, rho, blocks, letters)
-        chain.append(Reduction(rho, lower, upper, t))
+        chain.append(_new(Reduction, (rho, lower, upper, t)))
     return t
 
 
@@ -407,8 +403,8 @@ def subordinate_reductions(t: JordanTriple) -> list:
     symbol by symbol, each adjacent pair of equal letters, lowest first."""
     out = []
     for rho, (blocks, letters) in _checked(t, JordanTriple, "t").require_valid().rows.items():
-        out += [Reduction(rho, blocks[i], blocks[i + 1],
-                          _replace_row(t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]))
+        out += [_new(Reduction, (rho, blocks[i], blocks[i + 1],
+                                 _replace_row(t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:])))
                 for i in range(len(blocks) - 1) if letters[i] == letters[i + 1]]
     return out
 
@@ -416,13 +412,10 @@ def subordinate_reductions(t: JordanTriple) -> list:
 # -- alternated type and admissibility -----------------------------------
 
 
-class AlternatedWitness(_Record):
+class AlternatedWitness(_Record, namedtuple("AlternatedWitness", "matchings")):
     """The sorted matchings block -> cuspidal target, one row per symbol."""
 
-    __slots__ = __match_args__ = ("matchings",)
-
-    def __init__(self, matchings: tuple):
-        self._setters[0](self, matchings)
+    __slots__ = ()
 
     def matching_for(self, rho):
         for sym, rows in self.matchings:
@@ -505,11 +498,11 @@ def _peels(t: JordanTriple):
     kept)``; None if one symbol's peel misses its target.  Those are the
     rows' symbols unless the support has one more."""
     cusp, rows = t.cusp, t.rows
-    symbols = rows if all(rho in rows for rho, _ in cusp._jord) else sorted(
-        {*cusp.symbols, *rows}, key=lambda s: s.id)
+    items = rows.items() if all(rho in rows for rho, _ in cusp._jord) else [
+        (rho, rows.get(rho, _EMPTY)) for rho in sorted({*cusp.symbols, *rows}, key=lambda s: s.id)]
     peels = []
-    for rho in symbols:
-        if (peeled := _peel(cusp, rho, rows.get(rho, _EMPTY))) is None:
+    for rho, row in items:
+        if (peeled := _peel(cusp, rho, row)) is None:
             return None
         peels.append((rho, *peeled))
     return peels
@@ -668,6 +661,19 @@ def _row_items(cusp, rows) -> tuple:
     """The ``_items`` of a row map over cusp: the letters are the singles where defined."""
     return _items([(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (), _pair_items(row))
                    for rho, row in rows.items()])
+
+
+def _block_set_items(cusp, rho, blocks):
+    """The ``_row_items`` of a row at rho on these sorted blocks, as a function of its letters:
+    the jord text, and each position's two single and two pair texts, are written once, and
+    a row's are joined by lookup on its letters and on the products of adjacent letters."""
+    jord = "".join(f" {rho.id}:{a}" for a in blocks)
+    singles = [{v: f" {rho.id}:{a}:{_sign_char(v)}" for v in (PLUS, MINUS)}
+               for a in blocks] if singles_defined(cusp, rho) else ()
+    pairs = [{v: f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for v in (PLUS, MINUS)}
+             for lo, hi in zip(blocks, blocks[1:])]
+    return lambda letters: (jord, "".join(map(getitem, singles, letters)),
+                            "".join(map(getitem, pairs, map(mul, letters, letters[1:]))))
 
 
 def _line(cusp, parts) -> str:

@@ -432,6 +432,43 @@ def test_count_by_jord_is_a_binomial(rho, t):
             assert count_by_jord(cusp, {rho: blocks}) == want, (cusp, blocks)
 
 
+def walk_end(word):
+    """Where a word's walk ends, read lowest block first from 0: step i leaves
+    a point of parity i, and a +1 letter steps up from an even point."""
+    return sum(word[::2]) - sum(word[1::2])
+
+
+def assert_peel_admits_by_walk_end(cusp, rho, word):
+    """``_peel`` admits the word exactly when its walk ends in ``_admitted_ends``,
+    up to sign where singles are undefined (a word there counts up to sign)."""
+    blocks = tuple(rho.blocks_upto(2 * len(word) + 2)[:len(word)])
+    ends = _admitted_ends(cusp, rho, len(word))
+    e = walk_end(word)
+    admitted = e in ends or (not singles_defined(cusp, rho) and -e in ends)
+    assert (_peel(cusp, rho, (blocks, tuple(word))) is not None) == admitted, (cusp, word)
+
+
+PEEL_SUPPORTS = [(r, ()), (r, (1,)), (r, (1, 7)), (q, ()), (q, (2,)), (q, (2, 4))]
+
+
+@pytest.mark.parametrize("rho, cusp_blocks", PEEL_SUPPORTS,
+                         ids=[f"{rho.id}-{len(blocks)}" for rho, blocks in PEEL_SUPPORTS])
+def test_peel_admits_by_the_walk_end(rho, cusp_blocks):
+    cusp = CuspidalSupport("c", {rho: cusp_blocks})
+    # an oracle apart from the stack: every word of up to 12 letters, then long rows near the ends
+    for n in range(13):
+        for word in itertools.product((PLUS, MINUS), repeat=n):
+            assert_peel_admits_by_walk_end(cusp, rho, word)
+    rnd = random.Random(f"walk {cusp.id} {rho.id}")
+    for _ in range(40):
+        n = rnd.randrange(50, 401)
+        e = rnd.choice([e for e in range(-5, 6) if (n - e) % 2 == 0])
+        ups = set(rnd.sample(range(n), (n + e) // 2))
+        word = [PLUS if (i in ups) == (i % 2 == 0) else MINUS for i in range(n)]
+        assert walk_end(word) == e
+        assert_peel_admits_by_walk_end(cusp, rho, word)
+
+
 def unranked_triple(cusp, rho, n, rnd):
     """A random admissible triple with n blocks at rho, unranked from its walk:
     an end from ``_admitted_ends`` and a random set of up steps; step i leaves

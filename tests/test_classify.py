@@ -44,6 +44,7 @@ from segtriples import (
     validate_triple,
 )
 from segtriples.algebra import SizeLimitError
+from segtriples.triples import _line, _row_items
 from helpers import collections_during, condition3_checks, odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -318,6 +319,22 @@ def test_record_semantics(cls, names, text):
     assert Reduction(*fresh(ChainStep)) != ChainStep(*fresh(ChainStep))
 
 
+@pytest.mark.parametrize("cusp", [C0, C17], ids=lambda c: c.id)
+def test_trusted_records_are_the_keyword_built_ones(cusp):
+    # the round trip and the reductions build their records with no constructor call
+    seen = set()
+    for t in enumerate_admissible(cusp, [r, q], max_a=9):
+        for record in (*canonical_chain(t).steps, *is_admissible(t), *subordinate_reductions(t)):
+            cls = type(record)
+            keyed = cls(**dict(zip(cls.__match_args__, record)))
+            assert keyed == record and hash(keyed) == hash(record) and repr(keyed) == repr(record)
+            for name in cls.__match_args__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+            seen.add(cls)
+    assert seen == {ChainStep, Reduction}
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -538,7 +555,9 @@ def test_dominance_edges_read_any_iterable_of_triples_once():
 
 @pytest.mark.parametrize("cusp,symbols,max_a,count", [
     (C0, [r, q], 11, 13_536),  # two-digit blocks: r:11 sorts before r:3
-    (C17, [r], 13, 266),
+    (C17, [r], 13, 266),  # no singles at r
+    (C0, [r, q], 9, 1785),
+    (C1, [r, q], 9, 1575),
 ])
 def test_enumerated_triples_keep_their_canonical_text(cusp, symbols, max_a, count):
     got = enumerate_admissible(cusp, symbols, max_a=max_a)
@@ -549,6 +568,18 @@ def test_enumerated_triples_keep_their_canonical_text(cusp, symbols, max_a, coun
         fresh = JordanTriple._of_rows(t.cusp, t.rows)
         assert t._text == text and fresh._text is None
         assert text == triple_text(fresh)
+
+
+@pytest.mark.parametrize("cusp, symbols, window", [
+    (C0, [r, q], {"jord_sets": {"r": [[], [1, 5, 9], [3, 5, 9, 11]], "q": [[2, 4, 6, 8]]}}),
+    (C17, [r, q], {"max_a": 11, "max_jord": 3}),
+], ids=["jord_sets", "max_jord"])
+def test_enumerated_text_is_the_row_text(cusp, symbols, window):
+    # the texts written once per block set, over windows of the other two forms
+    got = enumerate_admissible(cusp, symbols, **window)
+    assert all(any(t.jord_of(rho) for t in got) for rho in symbols)
+    for t in got:
+        assert t._text == _line(cusp, [_row_items(cusp, t.rows)])
 
 
 def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
@@ -562,41 +593,41 @@ def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
 
 
 @pytest.fixture
-def row_items_calls(monkeypatch):
-    """A list that grows by one at each call of ``triples._row_items``."""
+def text_builds(monkeypatch):
+    """A list that grows by one, the function's name and arguments, at each call
+    of ``_block_set_items`` by the enumeration or of ``triples._row_items``."""
     calls = []
-    row_items = segtriples.triples._row_items
-
-    def counted(cusp, rows):
-        calls.append(rows)
-        return row_items(cusp, rows)
-
-    monkeypatch.setattr(segtriples.triples, "_row_items", counted)
-    monkeypatch.setattr(segtriples.classify, "_row_items", counted)
+    for module, name in ((segtriples.classify, "_block_set_items"), (segtriples.triples, "_row_items")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_enumeration_writes_each_surviving_row_once(row_items_calls, tmp_path):
-    per_symbol = [len(enumerate_admissible(C0, [rho], max_a=7)) for rho in (q, r)]
-    row_items_calls.clear()
+def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
+    # one text build per block set that keeps a row, none per row
     got = enumerate_admissible(C0, [r, q], max_a=7)
-    assert len(got) == per_symbol[0] * per_symbol[1]
-    assert len(row_items_calls) == sum(per_symbol) < len(got)
+    block_sets = {(rho.id, t.jord_of(rho)) for t in got for rho in (r, q)}
+    assert [name for name, _ in text_builds] == ["_block_set_items"] * len(block_sets)
+    assert {(rho.id, blocks) for _, (_, rho, blocks) in text_builds} == block_sets
+    assert len(block_sets) < len(got)
     config = tmp_path / "window.json"
     config.write_text(json.dumps({
         "symbols": [{"id": "r", "rank": 1, "parity": "odd"}, {"id": "q", "rank": 2, "parity": "even"}],
         "supports": [{"id": "c0"}],
         "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 7}}))
     for command in ("enumerate", "dominance-dag"):
-        row_items_calls.clear()
+        text_builds.clear()
         code, out, err = run_cli([command, "--config", str(config)])
         assert code == 0, err
         assert out.count("cusp=c0") >= len(got)
-        assert len(row_items_calls) <= sum(per_symbol)
-    row_items_calls.clear()
+        assert len(text_builds) <= len(block_sets)
+        assert all(name == "_block_set_items" for name, _ in text_builds)
+    text_builds.clear()
     with pytest.raises(ValueError, match="over the limit"):
         enumerate_admissible(C0, [r, q], max_a=17)
-    assert row_items_calls == []
+    assert text_builds == []
 
 
 def test_round_trip_across_an_enumeration():
