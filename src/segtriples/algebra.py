@@ -14,10 +14,11 @@ Text is written from the keys: a segment prints its doubled endpoints
 through ``halfint._half_text``, and terms and sums join their parts'
 texts.  A sum sorts its terms only to render them.
 
-The public constructors check what they are given.  The ``_trusted``
-builders, behind GL products, ``comult`` and the tower, take values a
-caller has built valid and neither sort nor check: a product merges its
-factors' sorted key tuples.
+The public constructors check what they are given, then build through
+their class's ``_trusted`` builder, the one place each value fills its
+slots and hashes its key.  The builders, behind GL products, ``comult``
+and the tower, take values a caller has built valid and neither sort nor
+check: a product merges its factors' sorted key tuples.
 """
 
 from __future__ import annotations
@@ -102,13 +103,13 @@ class Segment:
     silently dropped when terms are assembled.  The stored ``key``,
     (rho.id, 2a, 2b), decides equality, hash and canonical order; ``a``,
     ``b`` and ``center`` are HalfInt values built from it when read.
-    Segments are frozen.
+    Segments are frozen; the constructor checks and fills through ``_trusted``.
     """
 
     __slots__ = ("rho", "key")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, rho: CuspidalSymbol, a, b):
+    def __new__(cls, rho: CuspidalSymbol, a, b):
         if not isinstance(rho, CuspidalSymbol):
             raise TypeError("rho must be a CuspidalSymbol")
         a, b = HalfInt.of(a), HalfInt.of(b)
@@ -117,8 +118,7 @@ class Segment:
             raise ValueError(f"segment endpoints must differ by an integer: a={a}, b={b}")
         if span < -2:
             raise ValueError(f"segment [{a},{b}] is shorter than empty")
-        _set_rho(self, rho)
-        _set_seg_key(self, (rho.id, a.twice, b.twice))
+        return cls._trusted(rho, (rho.id, a.twice, b.twice))
 
     @classmethod
     def _trusted(cls, rho: CuspidalSymbol, key: tuple) -> "Segment":
@@ -181,13 +181,13 @@ class GLTerm:
     its hash is computed once, when the term is built.  The empty
     multiset is the unit of the Grothendieck-group product.  A product
     merges the factors' sorted keys instead of sorting again.  Terms
-    are frozen.
+    are frozen; the constructor checks and sorts, and fills through ``_trusted``.
     """
 
     __slots__ = ("segments", "key", "_hash")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, segments=()):
+    def __new__(cls, segments=()):
         segs = list(segments)
         for s in segs:
             if not isinstance(s, Segment):
@@ -195,10 +195,7 @@ class GLTerm:
             if s.is_empty:
                 raise ValueError("GLTerm must not contain empty segments")
         segs.sort(key=lambda s: s.key)
-        key = tuple(s.key for s in segs)
-        _set_segments(self, tuple(segs))
-        _set_gl_key(self, key)
-        _set_gl_hash(self, hash(key))
+        return cls._trusted(tuple(segs), tuple(s.key for s in segs))
 
     @classmethod
     def _trusted(cls, segments: tuple, key: tuple) -> "GLTerm":
@@ -300,13 +297,14 @@ class FormalSum:
     Terms are either GLTerm (plain grade) or 2-tuples for tensor grades;
     all coefficients are positive, and a missing term has coefficient 0.
     Sums are frozen: arithmetic returns new objects.  ``terms`` is the
-    canonical order, used to render; iteration is unordered.
+    canonical order, used to render; iteration is unordered.  The
+    constructor checks and merges, and fills through ``_trusted``.
     """
 
     __slots__ = ("_coeffs",)
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, coeffs=None):
+    def __new__(cls, coeffs=None):
         data = {}
         for term, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs or ()):
             if not isinstance(c, int) or isinstance(c, bool):
@@ -315,7 +313,7 @@ class FormalSum:
                 raise ValueError("coefficients must be nonnegative")
             if c:
                 data[term] = data.get(term, 0) + c
-        _set_coeffs(self, data)
+        return cls._trusted(data)
 
     @classmethod
     def _trusted(cls, coeffs: dict) -> "FormalSum":

@@ -11,10 +11,11 @@ blocks the lower endpoints strictly increase along the chain, for odd
 blocks the upper endpoints strictly decrease.  ``chain_violations``
 enforces that shape, so foreign chains are rejected before any
 extension work happens.  A ``ChainStep`` is a named tuple of its
-fields, as ``triples._Record`` sets out, so ``len``, iteration and
-unpacking work on it; a ``ReductionChain`` is a frozen slotted value
-with a validity mark.  An enumeration writes its text once per block set
-(``triples._block_set_items``), not once per row.
+fields, as ``triples._Record`` sets out; a ``ReductionChain`` is a
+frozen slotted value with a validity mark.  Realizing a chain is
+``triples._grown`` over its base, the rule that grows every triple.  An
+enumeration takes each symbol's admitted rows and their texts from
+``triples._admitted``, over the block sets whose size has an admitted end.
 """
 
 from __future__ import annotations
@@ -27,24 +28,21 @@ from operator import attrgetter
 from .algebra import EVEN, CuspidalSymbol, SizeLimitError, _immutable
 from .structural import _collector_paused
 from .triples import (
-    _EMPTY,
     CuspidalSupport,
     JordanTriple,
     NotAdmissibleError,
-    _admissible_rows,
+    _admitted,
     _admitted_ends,
-    _block_set_items,
     _checked,
-    _insert,
+    _grown,
     _line,
     _new,
     _pair_error,
-    _parse_sign,
     _peels,
     _Record,
     _sign,
     _sign_char,
-    _signed_row,
+    _text_items,
     is_alternated,
     parse_triple,
     subordinate_reductions,
@@ -182,33 +180,13 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
     """Fold the chain's steps over its base, base-up, into one triple.
 
     Each step inserts its pair with value +1 through the dominating
-    extension selected by the step's sign bit.  Raises on invalid
-    chains, and GapError at the first step whose interval meets a block
-    already present.  A chain marked valid, as ``canonical_chain``
-    builds it, is not checked again.  Each touched symbol keeps its
-    sorted blocks and letters, and each step, unpacked as a tuple,
-    inserts its pair into them by ``_insert``, as ``dominating_extensions``
-    does.  Only the result is built; its rows are re-ordered by symbol id
-    only when it gains a symbol.
+    extension selected by the step's sign bit: ``triples._grown`` folds
+    every step over the base at once, where ``dominating_extensions``
+    grows by one.  Raises on invalid chains, and GapError at the first
+    step whose interval meets a block already present.  A chain marked
+    valid, as ``canonical_chain`` builds it, is not checked again.
     """
-    chain.require_valid()
-    base = chain.base
-    cusp, rows = base.cusp, base.rows
-    walks = {}
-    for rho, lower, upper, sign in chain.steps:
-        if (walk := walks.get(rho)) is None:
-            blocks, letters = rows.get(rho, _EMPTY)
-            # the walk's blocks, letters and singles_defined, from one support lookup
-            walk = walks[rho] = list(blocks), list(letters), rho.parity == EVEN or not cusp.jord_of(rho)
-        blocks, letters, derive = walk
-        _insert(rho, derive, blocks, letters, lower, upper, sign)
-    if not walks:
-        return base
-    grown = {**rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
-                        for rho, (blocks, letters, derive) in walks.items()}}
-    if len(grown) > len(rows):
-        grown = dict(sorted(grown.items(), key=lambda kv: kv[0].id))
-    return JordanTriple._of_rows(cusp, grown)
+    return _grown(chain.require_valid().base, chain.steps)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -295,25 +273,14 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     if not size:
         return []
     with _collector_paused():
-        per_symbol = [_admitted(cusp, rho, groups) for rho, groups in window.items()]
+        # sizes with no admitted end hold no row: their sets are never generated
+        per_symbol = [_admitted(cusp, rho, itertools.chain.from_iterable(
+            sets for n, _, sets in groups if _admitted_ends(cusp, rho, n))) for rho, groups in window.items()]
         found = [JordanTriple._of_rows(cusp, _merged(combo), _line(cusp, parts))
                  for combo, parts in zip(itertools.product(*(rows for rows, _ in per_symbol)),
                                          itertools.product(*(items for _, items in per_symbol)))]
         found.sort(key=attrgetter("_text"))
     return found
-
-
-def _admitted(cusp, rho, groups) -> tuple:
-    """The row maps at rho the peel admits on a symbol's block sets, and each one's
-    ``_row_items``, from the texts ``_block_set_items`` writes once per block set with rows."""
-    rows, items = [], []
-    for _, _, sets in groups:
-        for blocks in sets:
-            if found := list(_admissible_rows(cusp, rho, blocks)):
-                texts = _block_set_items(cusp, rho, blocks)
-                rows += found
-                items += [texts(row.get(rho, _EMPTY)[1]) for row in found]
-    return rows, items
 
 
 def _merged(maps) -> dict:
@@ -326,8 +293,11 @@ def _merged(maps) -> dict:
 
 def count_by_jord(cusp: CuspidalSupport, jord) -> int:
     """Admissible sign assignments on one exact block configuration, no row built."""
-    jord_sets = {rho.id: [jord[rho]] for rho in _symbol_set(jord)}
-    return _window_size(cusp, _window(jord, None, None, jord_sets))
+    window = {}
+    for rho in sorted(_symbol_set(jord), key=lambda s: s.id):
+        blocks = _block_set(rho, jord[rho], f"jord[{rho.id!r}]")
+        window[rho] = [(len(blocks), 1, (blocks,))]
+    return _window_size(cusp, window)
 
 
 def dominance_edges(triples) -> list:
@@ -375,10 +345,5 @@ def parse_chain(text: str, cusp: CuspidalSupport, symbols) -> ReductionChain:
     rest = rest[1:].strip()
     if not rest.startswith("steps="):
         raise ValueError("missing steps section")
-    steps = []
-    for item in rest[len("steps="):].split():
-        name, lo, hi, sig = item.split(":")
-        if name not in symbols:
-            raise ValueError(f"unknown symbol {name!r}")
-        steps.append(ChainStep(symbols[name], int(lo), int(hi), _parse_sign(sig)))
-    return ReductionChain(base, tuple(steps))
+    return ReductionChain(base, tuple(ChainStep(*fields)
+                                      for fields in _text_items(rest, "steps", "rho:lo:hi:sign", symbols)))

@@ -55,14 +55,14 @@ class GSpinTerm:
     for memoization; ``flattened`` forgets it, since products commute in
     the Grothendieck group.  ``key`` is the tuple of the stack's GL keys
     and the base; it decides equality, hash and canonical order, and its
-    hash is computed once, when the object is built.  Objects are
-    frozen.
+    hash is computed once, in ``_trusted``, through which the constructor
+    fills after its checks.  Objects are frozen.
     """
 
     __slots__ = ("gl_terms", "base", "key", "_hash")
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, gl_terms, base: str):
+    def __new__(cls, gl_terms, base: str):
         gl_terms = tuple(gl_terms)
         for t in gl_terms:
             if not isinstance(t, GLTerm):
@@ -71,11 +71,7 @@ class GSpinTerm:
                 raise ValueError("unit GL factors are not stored on the stack")
         if not isinstance(base, str) or not base:
             raise ValueError("base must be a nonempty name")
-        key = (tuple(t.key for t in gl_terms), base)
-        _set_gl_terms(self, gl_terms)
-        _set_base(self, base)
-        _set_key(self, key)
-        _set_hash(self, hash(key))
+        return cls._trusted(gl_terms, base, tuple(t.key for t in gl_terms))
 
     @classmethod
     def _trusted(cls, gl_terms: tuple, base: str, stack_key: tuple) -> "GSpinTerm":

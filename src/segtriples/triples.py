@@ -38,14 +38,16 @@ each run of blocks of t that u lacks reduces to the empty word.
 each symbol's peel looks the support up once, walks the row by index
 and keeps its survivors as a signed row, the row itself when it removes
 nothing, which a chain's base takes as it is.  ``_admissible_rows``
-builds the rows the peel admits from ``_admitted_ends``, peeling none,
-and ``_insert`` is the one rule that grows a word.
+builds the rows the peel admits from ``_admitted_ends``, peeling none.
+``_grown`` is the one rule that grows a word: a chain's steps in turn,
+or an extension's one step.
 
 The records ``Reduction`` and ``AlternatedWitness`` (and
-``classify.ChainStep``) are named tuples of their fields (``_Record``),
-so ``len``, iteration and unpacking work on them.  A triple's text is
-``_row_items`` joined by ``_line``; an enumeration writes the same items
-once per block set (``_block_set_items``) and joins each row's by lookup.
+``classify.ChainStep``) are named tuples of their fields (``_Record``).
+A triple's text is ``_row_items`` joined by ``_line``; an enumeration
+(``_admitted``) writes the same items once per block set
+(``_block_set_items``) and joins each row's by lookup.  Every text item
+is read back through ``_text_items``, a chain's steps included.
 """
 
 from __future__ import annotations
@@ -314,13 +316,11 @@ def _signed_row(blocks, letters, derive) -> tuple:
 
 
 def _replace_row(t: JordanTriple, rho, blocks, letters) -> JordanTriple:
-    """t with the row at rho replaced by the blocks and their letters,
-    signed by ``_signed_row``; the other rows are shared."""
+    """t with its row at rho replaced by the blocks and their letters, signed
+    by ``_signed_row``, or dropped for no blocks; the other rows are shared."""
     rows = {**t.rows, rho: _signed_row(blocks, letters, singles_defined(t.cusp, rho))}
     if not blocks:
         del rows[rho]
-    elif rho not in t.rows:
-        rows = dict(sorted(rows.items(), key=lambda kv: kv[0].id))
     return JordanTriple._of_rows(t.cusp, rows)
 
 
@@ -540,6 +540,18 @@ def _admissible_rows(cusp, rho, blocks):
             yield {rho: _signed_row(blocks, tuple(letters), derive)} if blocks else {}
 
 
+def _admitted(cusp, rho, block_sets) -> tuple:
+    """The row maps at rho the peel admits on these sorted block sets, and each one's
+    ``_row_items``, from the texts ``_block_set_items`` writes once per block set with rows."""
+    rows, items = [], []
+    for blocks in block_sets:
+        if found := list(_admissible_rows(cusp, rho, blocks)):
+            texts = _block_set_items(cusp, rho, blocks)
+            rows += found
+            items += [texts(row.get(rho, _EMPTY)[1]) for row in found]
+    return rows, items
+
+
 def is_admissible(t: JordanTriple):
     """The canonical chain of reductions from t to an alternated triple,
     or None: the canonical peel at each symbol carrying blocks in t or
@@ -606,40 +618,53 @@ def linking_sign(t: JordanTriple, rho, lower: int, upper: int) -> int:
     raise NotAdmissibleError("a pair with no sign data cannot be linked")
 
 
-def _insert(rho, derive, blocks, letters, lower, upper, sign):
-    """Insert the pair (lower, upper) at rho, carrying +1 with linking bit
-    sign, into the lists of sorted blocks and their letters: both new
-    letters are sign where ``derive`` says singles are defined, else sign
+def _grown(t: JordanTriple, steps) -> JordanTriple:
+    """The valid t with each step ``(rho, lower, upper, sign)`` inserted in
+    turn: the pair (lower, upper) at rho, carrying +1 with linking bit
+    sign.  Both new letters are sign where singles are defined, else sign
     times the predecessor's letter, or the successor's at the lower
     boundary, or +1 on an empty row; no other letter changes.  Raises
-    GapError when a block lies in [lower, upper]."""
-    i = bisect_left(blocks, lower)
-    if i < len(blocks) and blocks[i] <= upper:
-        raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
-    v = sign if derive else sign * letters[max(i - 1, 0)] if letters else PLUS
-    blocks[i:i] = lower, upper
-    letters[i:i] = v, v
+    GapError at the first step whose interval meets a block already at
+    its symbol.  Each touched symbol keeps its sorted blocks and letters
+    as lists, with singles_defined from one support lookup; only the
+    result is built, its rows signed by ``_signed_row`` and re-ordered by
+    symbol id only when it gains a symbol, and t is returned for no steps."""
+    cusp, rows = t.cusp, t.rows
+    walks = {}
+    for rho, lower, upper, sign in steps:
+        if (walk := walks.get(rho)) is None:
+            blocks, letters = rows.get(rho, _EMPTY)
+            walk = walks[rho] = list(blocks), list(letters), rho.parity == EVEN or not cusp.jord_of(rho)
+        blocks, letters, derive = walk
+        i = bisect_left(blocks, lower)
+        if i < len(blocks) and blocks[i] <= upper:
+            raise GapError(f"[{lower},{upper}] meets an existing block at {rho.id}")
+        v = sign if derive else sign * letters[max(i - 1, 0)] if letters else PLUS
+        blocks[i:i] = lower, upper
+        letters[i:i] = v, v
+    if not walks:
+        return t
+    grown = {**rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
+                        for rho, (blocks, letters, derive) in walks.items()}}
+    if len(grown) > len(rows):
+        grown = dict(sorted(grown.items(), key=lambda kv: kv[0].id))
+    return JordanTriple._of_rows(cusp, grown)
 
 
 def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
     """The two admissible triples on jord + {(lower, rho), (upper, rho)}
-    with sign +1 on the inserted pair that reduce back onto t.
+    with sign +1 on the inserted pair that reduce back onto t: ``_grown``
+    by the one step, once per linking bit, the +1 bit first.
 
     The insertion interval must be a gap: no existing block at rho may
-    lie in [lower, upper].  The two results differ exactly in the free
-    linking bit; they are returned with the +1 bit first.
+    lie in [lower, upper] (GapError).
     """
     _checked(rho, CuspidalSymbol, "rho")
     if _peels(_checked(t, JordanTriple, "t").require_valid()) is None:
         raise NotAdmissibleError("extensions are defined over admissible triples")
     if problem := _pair_error(rho, lower, upper):
         raise ValueError(problem)
-    out = []
-    for sign in (PLUS, MINUS):
-        blocks, letters = map(list, t.rows.get(rho, _EMPTY))
-        _insert(rho, singles_defined(t.cusp, rho), blocks, letters, lower, upper, sign)
-        out.append(_replace_row(t, rho, tuple(blocks), tuple(letters)))
-    return out
+    return [_grown(t, ((rho, lower, upper, sign),)) for sign in (PLUS, MINUS)]
 
 
 # -- canonical text form --------------------------------------------------
@@ -695,38 +720,51 @@ def _parse_sign(ch: str) -> int:
     raise ValueError(f"not a sign: {ch!r}")
 
 
+def _text_items(part: str, section: str, shape: str, symbols) -> list:
+    """The fields of each item of a text section ``section=...``, named by
+    its shape, as ``rho:lo:hi:sign``: rho is looked up in symbols, sign
+    read as + or -, and every other field as an integer.  A missing or
+    malformed field raises ValueError quoting the item and naming its section."""
+    tag, names = f"{section}=", shape.split(":")
+    if not part.startswith(tag):
+        raise ValueError(f"expected section {tag!r}")
+    out = []
+    for item in part[len(tag):].split():
+        fields = item.rsplit(":", len(names) - 1)
+        try:
+            if len(fields) < len(names):
+                raise ValueError(f"expected {shape}")
+            read = []
+            for name, field in zip(names, fields):
+                if name == "rho":
+                    if field not in symbols:
+                        raise ValueError(f"unknown symbol {field!r}")
+                    read.append(symbols[field])
+                elif name == "sign":
+                    read.append(_parse_sign(field))
+                else:
+                    try:
+                        read.append(int(field))
+                    except ValueError:
+                        raise ValueError(f"{name} {field!r} is not an integer") from None
+        except ValueError as exc:
+            raise ValueError(f"{section} item {item!r}: {exc}") from None
+        out.append(read)
+    return out
+
+
 def parse_triple(text: str, cusp: CuspidalSupport, symbols) -> JordanTriple:
-    """Rebuild a triple from its canonical text over known symbols."""
+    """Rebuild a triple from its canonical text over known symbols; each
+    section is read by ``_text_items``."""
     parts = [p.strip() for p in text.strip().split(";")]
     if len(parts) != 4:
         raise ValueError("a triple record has four ; separated sections")
     head, jord_part, single_part, pair_part = parts
     if head != f"cusp={cusp.id}":
         raise ValueError(f"support mismatch: {head!r} vs {cusp.id!r}")
-
-    def sym(name):
-        try:
-            return symbols[name]
-        except KeyError:
-            raise ValueError(f"unknown symbol {name!r}") from None
-
-    def items(part, tag):
-        if not part.startswith(tag):
-            raise ValueError(f"expected section {tag!r}")
-        return part[len(tag):].split()
-
-    jord = []
-    for item in items(jord_part, "jord="):
-        name, a = item.rsplit(":", 1)
-        jord.append((sym(name), int(a)))
-    singles = {}
-    for item in items(single_part, "single="):
-        name, a, s = item.split(":")
-        singles[(sym(name), int(a))] = _parse_sign(s)
-    pairs = {}
-    for item in items(pair_part, "pair="):
-        name, lo, hi, s = item.split(":")
-        pairs[(sym(name), int(lo), int(hi))] = _parse_sign(s)
+    jord = [tuple(fields) for fields in _text_items(jord_part, "jord", "rho:a", symbols)]
+    singles = {(rho, a): v for rho, a, v in _text_items(single_part, "single", "rho:a:sign", symbols)}
+    pairs = {(rho, lo, hi): v for rho, lo, hi, v in _text_items(pair_part, "pair", "rho:lo:hi:sign", symbols)}
     return JordanTriple(cusp, jord, singles, pairs)
 
 

@@ -20,6 +20,7 @@ from segtriples import (
     JordanTriple,
     ReductionChain,
     chain_violations,
+    count_by_jord,
     dominating_extensions,
     enumerate_admissible,
     intertwining_ratios,
@@ -99,6 +100,8 @@ ENTRY_POINTS = {
         ReductionChain(JordanTriple(C0), (ChainStep(rho, a, TOP[rho.id], PLUS),)))),
     "enumerate_admissible": ("jord_sets[{id!r}]: ", lambda rho, a, tmp_path: _raised(
         lambda: enumerate_admissible(C0, [rho], jord_sets={rho.id: [[a]]}))),
+    "count_by_jord": ("jord[{id!r}]: ", lambda rho, a, tmp_path: _raised(
+        lambda: count_by_jord(C0, {rho: [a]}))),
     "load_config supports": ("supports: 'x': cuspidal ", lambda rho, a, tmp_path: _config(
         rho, a, tmp_path, supports=[{"id": "x", "jord": {rho.id: [a]}}])),
     "load_config jord_sets": ("bounds: jord_sets[{id!r}]: ", lambda rho, a, tmp_path: _config(

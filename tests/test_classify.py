@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,6 +375,18 @@ def test_parse_chain_rejects_malformed_records():
                     "steps= r:1:3:*", C0, SYMBOLS)
 
 
+@pytest.mark.parametrize("item,why", [
+    ("r:1:3", "expected rho:lo:hi:sign"),
+    ("r:1:x:+", "hi 'x' is not an integer"),
+    ("r:1:3:*", "not a sign: '*'"),
+    ("zz:1:3:+", "unknown symbol 'zz'"),
+])
+def test_parse_chain_quotes_a_malformed_step(item, why):
+    text = f"base={{cusp=c0 ; jord= ; single= ; pair=}} ; steps= r:5:7:- {item}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'steps item {item!r}: {why}')}$"):
+        parse_chain(text, C0, SYMBOLS)
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -450,7 +463,6 @@ def row_work(monkeypatch):
         return peel(*args)
 
     monkeypatch.setattr(segtriples.triples, "_admissible_rows", counted_rows)
-    monkeypatch.setattr(segtriples.classify, "_admissible_rows", counted_rows)
     monkeypatch.setattr(segtriples.triples, "_peel", counted_peel)
     return calls
 
@@ -468,6 +480,13 @@ def test_a_refusal_builds_and_peels_no_row(row_work):
     # a window inside the limit builds its rows without peeling any
     assert len(enumerate_admissible(C0, [r, q], max_a=7)) > 0
     assert "_admissible_rows" in row_work and "_peel" not in row_work
+
+
+def test_enumeration_skips_the_sizes_with_no_admitted_end(row_work):
+    # r over c0 admits words of even length only: of the 32 sets of its blocks up to 9,
+    # the 16 of 0, 2 and 4 blocks are read, and those of odd size never generated
+    assert len(enumerate_admissible(C0, [r], max_a=9)) == 1 + 10 * 2 + 5 * 6
+    assert row_work == ["_admissible_rows"] * 16
 
 
 def test_enumeration_leaves_no_young_pass_owed():
@@ -597,7 +616,7 @@ def text_builds(monkeypatch):
     """A list that grows by one, the function's name and arguments, at each call
     of ``_block_set_items`` by the enumeration or of ``triples._row_items``."""
     calls = []
-    for module, name in ((segtriples.classify, "_block_set_items"), (segtriples.triples, "_row_items")):
+    for module, name in ((segtriples.triples, "_block_set_items"), (segtriples.triples, "_row_items")):
         def counted(*args, name=name, real=getattr(module, name)):
             calls.append((name, args))
             return real(*args)
@@ -728,6 +747,26 @@ def test_realization_of_interleaved_chains_equals_the_fold(drawn):
     assert_same_triple(got, folded(chain))
     if source is not None:
         assert got == source
+
+
+@pytest.mark.parametrize("cusp,symbols,max_a", [(C0, [r, q], 9), (C17, [r], 13)], ids=["c0", "c17"])
+def test_realizing_a_chain_is_iterated_extension(cusp, symbols, max_a):
+    # each step taken through the public extension whose linking bit is the step's sign
+    for t in enumerate_admissible(cusp, symbols, max_a=max_a):
+        chain = canonical_chain(t)
+        cur = chain.base
+        for rho, lower, upper, sign in chain.steps:
+            cur = {linking_sign(u, rho, lower, upper): u
+                   for u in dominating_extensions(cur, lower, upper, rho)}[sign]
+        assert_same_triple(cur, realize_chain(chain))
+
+
+@pytest.mark.parametrize("t", [odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS}),
+                               odd_triple(C17, [5, 7], pairs={(5, 7): MINUS})], ids=["c0", "c17"])
+def test_extending_at_a_new_symbol_keeps_the_rows_in_id_order(t):
+    for u in dominating_extensions(t, 2, 4, q):
+        assert list(u.rows) == [q, r] and u.jord_of(q) == (2, 4) and u.rows[r] == t.rows[r]
+        assert_same_triple(parse_triple(triple_text(u), t.cusp, SYMBOLS), u)
 
 
 def test_a_pair_inserted_below_a_pair_signed_row_takes_the_successors_letter():

@@ -150,6 +150,15 @@ def test_usage_errors_exit_2(argv, fragment, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("text,message", [
+    ("cusp=c0 ; jord= r:1 ; single= r:1 ; pair=", "single item 'r:1': expected rho:a:sign"),
+    ("cusp=c0 ; jord= r:x ; single= ; pair=", "jord item 'r:x': a 'x' is not an integer"),
+    ("cusp=c0 ; jord= r:1 r:3 ; single= ; pair= r:1:3:?", "pair item 'r:1:3:?': not a sign: '?'"),
+])
+def test_a_malformed_item_exits_2_naming_it(text, message):
+    assert run_cli(["check", "--config", BASE, "--text", text]) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["chain", "--config", BASE, "--triple", "notadm"],
      "no chain reaches an alternated triple"),

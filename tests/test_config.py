@@ -112,6 +112,12 @@ def test_triples_name_a_known_support(tmp_path, text, fragment):
         load_config(write(tmp_path, data))
 
 
+def test_a_malformed_triple_item_is_a_config_error(tmp_path):
+    data = dict(MINIMAL, triples={"t": "cusp=c0 ; jord= r:1 r:3 ; single= ; pair= r:1:3"})
+    with pytest.raises(ConfigError, match=r"^triples: 't': pair item 'r:1:3': expected rho:lo:hi:sign$"):
+        load_config(write(tmp_path, data))
+
+
 def test_expansion_rows_must_target_stacked_objects(tmp_path):
     data = dict(MINIMAL, expansions=[{
         "object": {"segments": [], "base": "c0"},

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -536,6 +537,25 @@ def test_triple_text_inverts_for_every_constructible_triple(cusp, jord, singles,
     # valid or not: parity, domain and product-rule violations all survive
     t = JordanTriple(cusp, jord, singles, pairs)
     assert parse_triple(triple_text(t), cusp, SYMBOLS) == t
+
+
+@pytest.mark.parametrize("section,item,why", [
+    ("jord", "r", "expected rho:a"),
+    ("jord", "r:x", "a 'x' is not an integer"),
+    ("jord", "zz:1", "unknown symbol 'zz'"),
+    ("single", "r:1", "expected rho:a:sign"),
+    ("single", "r:x:+", "a 'x' is not an integer"),
+    ("single", "r:1:*", "not a sign: '*'"),
+    ("pair", "r:1:3", "expected rho:lo:hi:sign"),
+    ("pair", "r:1:x:+", "hi 'x' is not an integer"),
+    ("pair", "r:1:3:*", "not a sign: '*'"),
+])
+def test_parse_triple_quotes_a_malformed_item_and_its_section(section, item, why):
+    parts = {"jord": " r:1 r:3", "single": " r:1:+ r:3:+", "pair": " r:1:3:+"}
+    parts[section] += f" {item}"
+    text = "cusp=c0 ; " + " ; ".join(f"{name}={body}" for name, body in parts.items())
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{section} item {item!r}: {why}')}$"):
+        parse_triple(text, C0, SYMBOLS)
 
 
 def test_parse_triple_rejects_malformed_records():
