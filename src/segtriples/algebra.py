@@ -18,7 +18,9 @@ The public constructors check what they are given, then build through
 their class's ``_trusted`` builder, the one place each value fills its
 slots and hashes its key.  The builders, behind GL products, ``comult``
 and the tower, take values a caller has built valid and neither sort nor
-check: a product merges its factors' sorted key tuples.
+check: a product merges its factors' sorted key tuples, and ``_placed``
+joins the one or two segments of a tower's shed term to each product's
+run, or inserts them by binary search.
 """
 
 from __future__ import annotations
@@ -277,6 +279,39 @@ def _merge_sorted(segs, keys, more_segs, more_keys):
         segs.insert(at, s)
         at += 1
     return tuple(segs), tuple(keys)
+
+
+def _placed(shed: GLTerm, taus) -> list:
+    """The products ``shed * tau`` for each GL term tau of taus, in order,
+    where shed has at most two segments: a shed that lies after or before
+    all of tau's run is joined to it, and otherwise each segment is placed
+    into the run at its ``bisect_right`` position, found in tau's keys, so
+    nothing is merged, sorted or checked.  As for ``*``, a unit factor
+    gives the other one itself."""
+    if not shed.segments:
+        return list(taus)
+    trusted, out = GLTerm._trusted, []
+    shed_segs, shed_keys = shed.segments, shed.key
+    k, l = shed_keys[0], shed_keys[-1]
+    for tau in taus:
+        keys = tau.key
+        if not keys:
+            out.append(shed)
+        elif keys[-1] <= k:
+            out.append(trusted(tau.segments + shed_segs, keys + shed_keys))
+        elif l <= keys[0]:
+            out.append(trusted(shed_segs + tau.segments, shed_keys + keys))
+        else:
+            at = bisect_right(keys, k)
+            segs, keys = list(tau.segments), list(keys)
+            if len(shed_segs) == 2:
+                to = bisect_right(keys, l, at)
+                segs.insert(to, shed_segs[1])
+                keys.insert(to, l)
+            segs.insert(at, shed_segs[0])
+            keys.insert(at, k)
+            out.append(trusted(tuple(segs), tuple(keys)))
+    return out
 
 
 def _term_mul(s, t):

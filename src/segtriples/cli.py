@@ -4,15 +4,19 @@ Every subcommand takes --config pointing at a JSON run configuration
 (see config.py) and prints deterministic plain text, so outputs can be
 diffed across runs.  Exit status: 0 on success, 1 on a domain error
 (invalid triple, inadmissible input, precondition failure), 2 on a usage
-or config error (bad flags, unknown names, malformed specs, oversized input).
+or config error (bad flags, unknown names, malformed specs, oversized input),
+and 141 (128 + SIGPIPE, as a shell reports a process that signal ends) when
+the reader closes stdout before all output is written, as ``| head`` does;
+the rest of the output is then dropped, and no message is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError, render_term
+from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError
 from .classify import (
     canonical_chain,
     chain_text,
@@ -20,7 +24,7 @@ from .classify import (
     enumerate_admissible,
 )
 from .config import ConfigError, RunConfig, load_config, parse_segment_spec
-from .halfint import HalfInt
+from .halfint import HalfInt, _parse_int
 from .lcalc import EmbeddingDatum, jord_update
 from .structural import GSpinTerm, expand_induced, induce
 from .triples import (
@@ -30,6 +34,9 @@ from .triples import (
     triple_text,
     validate_triple,
 )
+
+
+EXIT_PIPE_CLOSED = 141
 
 
 class UsageError(ValueError):
@@ -81,8 +88,23 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
         seg = _segment(cfg, text)
         expansion = expand_induced(seg, obj, table)
         obj = induce(seg, obj)
-    for term, coeff in expansion.terms:
-        print(render_term(term, coeff))
+    # as render_term writes them, but each distinct segment, GL term and
+    # induced leg is written once, and the lines in one write
+    seg_texts, gl_texts, leg_texts, lines = {}, {}, {}, []
+
+    def gl_text(gl):
+        if (text := gl_texts.get(gl)) is None:
+            text = gl_texts[gl] = " x ".join([seg_texts.get(s.key) or seg_texts.setdefault(s.key, str(s))
+                                              for s in gl.segments]) or "1"
+        return text
+
+    for (gl, leg), coeff in expansion.terms:
+        if (leg_text := leg_texts.get(leg)) is None:
+            leg_text = leg_texts[leg] = " |x ".join([*map(gl_text, leg.gl_terms), leg.base])
+        body = f"{gl_text(gl)} (x) {leg_text}"
+        lines.append(body if coeff == 1 else f"{coeff} * {body}")
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
     return 0
 
 
@@ -135,7 +157,7 @@ def _cmd_jord_update(cfg: RunConfig, args) -> int:
     try:
         x = HalfInt.parse(args.x)
         y = HalfInt.parse(args.y)
-        blocks = frozenset(int(part) for part in args.base.split(",") if part.strip())
+        blocks = frozenset(_parse_int(part.strip(), "block") for part in args.base.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.rho is not None:
@@ -221,7 +243,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(cfg, args)
+        code = args.func(cfg, args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left of stdout to devnull, so the
+        # flush at shutdown is quiet too, and exit as a process SIGPIPE ends
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
     except (ConfigError, UsageError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

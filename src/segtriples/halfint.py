@@ -11,8 +11,10 @@ import functools
 import re
 import sys
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_HALF_RE = re.compile(r"^([+-]?\d+)/2$")
+# one spelling per value: ASCII digits, no leading zero, and no sign on zero;
+# a half-integer may carry a plus sign, and its halves numerator is odd
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+_HALF_RE = re.compile(r"(0|[+-]?[1-9][0-9]*)(/2)?")
 _HALF_MOD_HASH_PRIME = (sys.hash_info.modulus + 1) // 2
 
 
@@ -23,6 +25,14 @@ def _immutable(self, *_):
 def _half_text(twice: int) -> str:
     """The text of twice/2: "3", "-2", or the halves notation "5/2", "-1/2"."""
     return f"{twice}/2" if twice % 2 else str(twice // 2)
+
+
+def _parse_int(text: str, what: str) -> int:
+    """The integer ``text`` spells as 0 or as -?[1-9][0-9]*, its one text;
+    any other spelling raises ValueError naming it as ``what``."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(text)
 
 
 @functools.total_ordering
@@ -67,14 +77,15 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse "2", "-3" or the halves notation "1/2", "-5/2"."""
-        text = text.strip()
-        if _INT_RE.match(text):
-            return cls(int(text))
-        m = _HALF_RE.match(text)
-        if m:
+        """Parse "2", "-3", "+3" or the halves notation "1/2", "-5/2", "+7/2",
+        around whitespace; leading zeros, "-0", "+0", non-ASCII digits and an
+        even numerator over 2 are refused."""
+        m = _HALF_RE.fullmatch(text.strip())
+        if m and not m.group(2):
+            return cls(int(m.group(1)))
+        if m and int(m.group(1)) % 2:
             return cls.from_twice(int(m.group(1)))
-        raise ValueError(f"not a half-integer literal: {text!r}")
+        raise ValueError(f"not a half-integer literal: {text.strip()!r}")
 
     @staticmethod
     def range_inclusive(lo, hi):

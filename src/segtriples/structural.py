@@ -12,7 +12,15 @@ plain suffix.  Every loop here walks sums unordered.
 ``register`` checks every entry handed to it in full.  The base rows
 are valid and the construction makes valid terms, so ``expand_induced``
 checks only the unit-left rule and ``induce`` only its top, and both
-build through the trusted builders.
+build through the trusted builders.  A row of ``expand_induced`` costs
+one product, one key and one store: a shed term has at most two
+segments, so ``algebra._placed`` joins them to tau's key-sorted run, or
+puts them into it at their ``bisect_right`` positions, instead of merging
+two runs; the kept segment goes on each base leg in one
+``GSpinTerm._trusted`` call; a row
+of a pair i < j is stored unseen, since no other row can equal it; and a
+row of a pair i = j is hashed once, by ``setdefault``, unless it meets
+an earlier row.
 
 ``expand_induced``, ``flatten_sum`` and ``classify.enumerate_admissible``
 pause the cyclic garbage collector, process-wide for the length of the
@@ -41,7 +49,7 @@ import gc
 from contextlib import contextmanager
 from operator import attrgetter
 
-from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable, _segment_terms
+from .algebra import FormalSum, GLTerm, GradeError, Segment, SizeLimitError, _immutable, _placed, _segment_terms
 
 # The most base rows one expansion visits; depth 5 of r:[-1,2] over a cuspidal leaf visits 253,800.
 MAX_ROWS = 1_000_000
@@ -242,19 +250,28 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
     """
     if seg.is_empty:
         raise ValueError("induction by the empty segment expands nothing new")
-    node = induce(seg, base)
-    if node in table:
-        return table.lookup(node)
-    if (visits := (seg.length + 1) * (seg.length + 2) // 2 * len(table.lookup(base))) > MAX_ROWS:
+    _, lo, hi = seg.key  # doubled endpoints; 2i, 2j run over lo-2, ..., hi
+    node = base._on_top(GLTerm._trusted((seg,), (seg.key,)))
+    if (known := table._rows.get(node)) is not None:
+        return known
+    base_rows = table.lookup(base)
+    n = (hi - lo) // 2 + 2  # indices i, one more than the segment's length
+    if (visits := n * (n + 1) // 2 * len(base_rows)) > MAX_ROWS:
         raise SizeLimitError(f"the expansion visits {visits} base rows, over the limit of {MAX_ROWS}")
     with _collector_paused():
-        # base rows grouped by their GL leg, so each product is merged once,
+        # base rows grouped by their GL leg tau, so each product is placed once,
         # each naming its induced leg by its index in ``legs``
         by_tau, legs = {}, {}
-        for (tau, sprime), c in table.lookup(base):
+        for (tau, sprime), c in base_rows:
             by_tau.setdefault(tau, []).append((legs.setdefault(sprime, len(legs)), c))
         legs = list(legs)
-        _, lo, hi = seg.key  # doubled endpoints; 2i, 2j run over lo-2, ..., hi
+        # each leg's stack, read once, on which the kept term goes
+        taus, rows = by_tau.keys(), by_tau.values()
+        stacks = [(s.gl_terms, s.base, s.key[0]) for s in legs]
+        on_stack = GSpinTerm._trusted
+        # every base has one unit-left row, so a base with one GL leg tau has
+        # that row alone (a cuspidal leaf does): each product is the shed term
+        lone = len(taus) == 1
         unit, term = _segment_terms(seg.rho)
         # for 2i = lo - 2 + 2p, sheds[p] holds [-i, k] and [i+1, l]
         sheds = [(term(-i, -lo), term(i + 2, hi)) for i in range(lo - 2, hi + 1, 2)]
@@ -262,23 +279,28 @@ def expand_induced(seg: Segment, base: GSpinTerm, table: ExpansionTable) -> Form
         # shed term cancels, so their rows are distinct and stored unseen
         out = {}
         for p, (shed_left, _) in enumerate(sheds):
-            for q in range(p + 1, len(sheds)):
+            for q in range(p + 1, n):
                 shed = shed_left * sheds[q][1]
                 kept = term(lo + 2 * p, lo + 2 * q - 2)
-                on_top = [s._on_top(kept) for s in legs]
+                top, top_key = (kept,), (kept.key,)
+                on_top = [on_stack(top + gl_terms, name, top_key + stack_key)
+                          for gl_terms, name, stack_key in stacks]
                 if not shed.segments:  # the one pair whose rows may be unit-left
                     _check_unit_rows(node, [(on_top[leg], c) for leg, c in by_tau.get(unit, ())])
-                for tau, tau_rows in by_tau.items():
-                    gl = shed * tau
+                for gl, tau_rows in zip((shed,) if lone else _placed(shed, taus), rows):
                     for leg, c in tau_rows:
                         out[gl, on_top[leg]] = c
-        for shed_left, shed_right in sheds:  # i = j: nothing kept, rows may meet earlier ones
+        # i = j: nothing is kept, so a row may meet one of an earlier pair;
+        # most are new, so each is hashed once by setdefault, and only a row
+        # that met one (the length is unchanged) is looked up again to add
+        for shed_left, shed_right in sheds:
             shed = shed_left * shed_right
-            for tau, tau_rows in by_tau.items():
-                gl = shed * tau
+            for gl, tau_rows in zip((shed,) if lone else _placed(shed, taus), rows):
                 for leg, c in tau_rows:
-                    key = (gl, legs[leg])
-                    out[key] = out.get(key, 0) + c
+                    size = len(out)
+                    seen = out.setdefault(key := (gl, legs[leg]), c)
+                    if len(out) == size:
+                        out[key] = seen + c
         result = table._rows[node] = FormalSum._trusted(out)
     return result
 
@@ -291,7 +313,14 @@ def flatten_sum(expansion: FormalSum) -> FormalSum:
         for obj in {obj for (_, obj), _ in expansion}:
             form = obj.flattened()
             flat[obj] = forms.setdefault(form, form)
-        return FormalSum(((gl, flat[obj]), c) for (gl, obj), c in expansion)
+        # the coefficients are a sum's, so valid; each row is hashed once unless it meets another
+        out = {}
+        for (gl, obj), c in expansion:
+            size = len(out)
+            seen = out.setdefault(key := (gl, flat[obj]), c)
+            if len(out) == size:
+                out[key] = seen + c
+        return FormalSum._trusted(out)
 
 
 def degree_conserved(expansion: FormalSum, total: int, leaf_degree=None) -> bool:

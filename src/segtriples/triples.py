@@ -58,6 +58,7 @@ from collections import namedtuple
 from operator import getitem, mul
 
 from .algebra import EVEN, CuspidalSymbol, _immutable
+from .halfint import _parse_int
 
 PLUS = 1
 MINUS = -1
@@ -723,8 +724,9 @@ def _parse_sign(ch: str) -> int:
 def _text_items(part: str, section: str, shape: str, symbols) -> list:
     """The fields of each item of a text section ``section=...``, named by
     its shape, as ``rho:lo:hi:sign``: rho is looked up in symbols, sign
-    read as + or -, and every other field as an integer.  A missing or
-    malformed field raises ValueError quoting the item and naming its section."""
+    read as + or -, and every other field as an integer in its one spelling
+    (``halfint._parse_int``).  A missing or malformed field raises
+    ValueError quoting the item and naming its section."""
     tag, names = f"{section}=", shape.split(":")
     if not part.startswith(tag):
         raise ValueError(f"expected section {tag!r}")
@@ -743,10 +745,7 @@ def _text_items(part: str, section: str, shape: str, symbols) -> list:
                 elif name == "sign":
                     read.append(_parse_sign(field))
                 else:
-                    try:
-                        read.append(int(field))
-                    except ValueError:
-                        raise ValueError(f"{name} {field!r} is not an integer") from None
+                    read.append(_parse_int(field, name))
         except ValueError as exc:
             raise ValueError(f"{section} item {item!r}: {exc}") from None
         out.append(read)

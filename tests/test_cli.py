@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import segtriples
+from segtriples import cli
 
 from helpers import run_cli
 
@@ -137,6 +138,15 @@ def test_triple_text_source_matches_named_source(command, name, text, head):
     # 2001 x 2002 / 2 pairs i <= j over the one row of the cuspidal leaf
     (["mu-star", "--config", BASE, "--sigma", "c0", "--seg", "r:[-1000,1000]"],
      "error: the expansion visits 2005003 base rows, over the limit of 1000000\n"),
+    # an integer or half-integer read in any spelling but its own
+    (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--base", "1,07"],
+     "error: block '07' is not an integer\n"),
+    (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--base", "1,+7"],
+     "error: block '+7' is not an integer\n"),
+    (["jord-update", "--config", BASE, "--x", "2", "--y", "1", "--base", "\u0661,7"],
+     "error: block '\u0661' is not an integer\n"),
+    (["mu-star", "--config", BASE, "--sigma", "c0", "--seg", "r:[0,4/2]"],
+     "error: not a half-integer literal: '4/2'\n"),
 ])
 def test_usage_errors_exit_2(argv, fragment, tmp_path):
     # a dict in argv stands for a config file holding it as JSON
@@ -243,3 +253,19 @@ def test_module_entry_point_runs_as_subprocess():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # depth 4 prints 16,920 lines, far more than a pipe holds unread; a buffered
+    # stdout (PYTHONUNBUFFERED unset) meets the closed pipe on every write path
+    src = str(Path(segtriples.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "segtriples", "mu-star", "--config", BASE, "--sigma", "c0"]
+        + ["--seg", "r:[-1,2]"] * 4,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"1 (x) d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x c0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE_CLOSED, b"") == (141, b"")

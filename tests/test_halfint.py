@@ -42,7 +42,9 @@ def test_parse_literals(text, twice):
     assert HalfInt.parse(text).twice == twice
 
 
-@pytest.mark.parametrize("text", ["x", "1/3", "3.5", "", "1/2/2", "2/", "/2"])
+# from "\u0663" on, spellings of a value other than its one text
+@pytest.mark.parametrize("text", ["x", "1/3", "3.5", "", "1/2/2", "2/", "/2", "\u0663", "4/2", "0/2", "-6/2",
+                                  "-0", "+0", "007", "-03", "01/2", "1_0"])
 def test_parse_rejects_garbage(text):
     with pytest.raises(ValueError):
         HalfInt.parse(text)

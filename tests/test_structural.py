@@ -348,6 +348,54 @@ def test_rendered_towers_are_written_from_their_keys(segs, base):
     assert str(out) == " + ".join(want)
 
 
+def _rows_the_old_way(seg, base_rows):
+    """The double sum of ``expand_induced`` written out with public values:
+    for every pair i <= j and every base row tau (x) s', the generic
+    product ``shed * tau``, the kept segment induced over s', and each row
+    added by ``out.get`` then a store."""
+    _, lo, hi = seg.key
+
+    def gl(a, b):  # the GL term of [a/2, b/2], the unit when that is empty
+        return GLTerm.of(Segment(seg.rho, HalfInt.from_twice(a), HalfInt.from_twice(b)))
+
+    doubled = range(lo - 2, hi + 1, 2)
+    out = {}
+    for i in doubled:
+        for j in doubled:
+            if j < i:
+                continue
+            shed, kept = gl(-i, -lo) * gl(j + 2, hi), gl(i + 2, j)
+            for (tau, sprime), c in base_rows:
+                key = (shed * tau, induce(kept, sprime))
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def _assert_rows_match(seg, base, table):
+    want = _rows_the_old_way(seg, table.lookup(base))
+    out = expand_induced(seg, base, table)
+    assert dict(out) == want and len(out) == len(want)
+    for (gl, _), _ in out:
+        public = GLTerm.of(*gl.segments)
+        assert gl == public and hash(gl) == hash(public) and gl.key == public.key
+    return induce(seg, base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=3), st.sampled_from([C0, FIXTURE_BASE]))
+def test_expansion_rows_match_the_old_way_on_random_towers(segs, base):
+    table = MU_FIXTURE.expansion_table()
+    for s in segs:
+        base = _assert_rows_match(s, base, table)
+
+
+def test_expansion_rows_match_the_old_way_up_to_depth_four():
+    table = ExpansionTable()
+    cur = table.add_cuspidal("c0")
+    for _ in range(4):
+        cur = _assert_rows_match(Segment(r, -1, 2), cur, table)
+
+
 def test_deep_mu_star_output_is_pinned():
     code, out, _ = run_cli(["mu-star", "--config", str(Path(__file__).parent / "fixtures" / "base.json"),
                             "--sigma", "c0"] + ["--seg", "r:[-1,2]"] * 4)

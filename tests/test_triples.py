@@ -16,6 +16,7 @@ from segtriples import (
     JordanTriple,
     NotAdmissibleError,
     canonical_chain,
+    chain_text,
     dominates,
     dominating_extensions,
     enumerate_admissible,
@@ -23,6 +24,7 @@ from segtriples import (
     is_alternated,
     linking_sign,
     make_triple,
+    parse_chain,
     parse_triple,
     reduce_at,
     singles_defined,
@@ -556,6 +558,65 @@ def test_parse_triple_quotes_a_malformed_item_and_its_section(section, item, why
     text = "cusp=c0 ; " + " ; ".join(f"{name}={body}" for name, body in parts.items())
     with pytest.raises(ValueError, match=f"^{re.escape(f'{section} item {item!r}: {why}')}$"):
         parse_triple(text, C0, SYMBOLS)
+
+
+_INTEGER_FIELDS = {"jord": (1,), "single": (1,), "pair": (1, 2), "steps": (1, 2)}
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_CHAIN_TEXTS = [chain_text(canonical_chain(t)) for t in enumerate_admissible(C17, [r, q], max_a=7)]
+
+
+def _respellings(n: int) -> list:
+    """Texts other than str(n) that int() reads as n: a plus sign, a
+    leading zero, an underscore, non-ASCII digits, and -0 for 0."""
+    sign, digits = "-" if n < 0 else "", str(abs(n))
+    out = [f"{sign}0{digits}", f"{sign}0_{digits}", sign + digits.translate(_ARABIC_INDIC)]
+    if n >= 0:
+        out.append(f"+{digits}")
+    if n == 0:
+        out.append("-0")
+    return out
+
+
+def _integer_fields(text: str) -> list:
+    """(token index, field index, section) of each integer field of a
+    canonical triple or chain text, whose tokens are split at spaces."""
+    section, out = None, []
+    for at, token in enumerate(text.split(" ")):
+        if "=" in token:
+            section = token.split("=")[0]
+        elif token != ";":
+            out.extend((at, field, section) for field in _INTEGER_FIELDS[section])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cusp=st.sampled_from([C0, C17]),
+       jord=st.lists(st.tuples(_SYMBOL, _BLOCK), max_size=6),
+       singles=st.dictionaries(st.tuples(_SYMBOL, _BLOCK), _SIGN, max_size=4),
+       pairs=st.dictionaries(st.tuples(_SYMBOL, _BLOCK, _BLOCK), _SIGN, max_size=4),
+       chain=st.sampled_from(_CHAIN_TEXTS), of_chain=st.booleans(), data=st.data())
+def test_an_integer_field_has_one_spelling(cusp, jord, singles, pairs, chain, of_chain, data):
+    # respell one integer field of a canonical text in a way int() reads;
+    # the parse names the item, as it reads it, and refuses it
+    if of_chain:
+        text, parse = chain, lambda text: parse_chain(text, C17, SYMBOLS)
+    else:
+        text = triple_text(JordanTriple(cusp, jord, singles, pairs))
+        parse = lambda text: parse_triple(text, cusp, SYMBOLS)
+    fields = _integer_fields(text)
+    if not fields:
+        return
+    at, field, section = data.draw(st.sampled_from(fields))
+    tokens = text.split(" ")
+    item = tokens[at].rstrip("}")
+    parts = item.split(":")
+    n = int(parts[field])
+    parts[field] = data.draw(st.sampled_from(_respellings(n)))
+    assert int(parts[field]) == n
+    bad = ":".join(parts)
+    tokens[at] = bad + tokens[at][len(item):]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{section} item {bad!r}: ')}"):
+        parse(" ".join(tokens))
 
 
 def test_parse_triple_rejects_malformed_records():
