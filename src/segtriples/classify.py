@@ -35,13 +35,13 @@ from .triples import (
     _admitted_ends,
     _checked,
     _grown,
+    _item,
     _line,
     _new,
     _pair_error,
     _peels,
     _Record,
     _sign,
-    _sign_char,
     _text_items,
     is_alternated,
     parse_triple,
@@ -261,8 +261,9 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
     and TypeError, before any is read, when a symbol is no CuspidalSymbol or cusp no CuspidalSupport.
-    Each triple keeps its text, joined by lookup from texts written once per
-    block set (``_block_set_items``), and the result is sorted by it; the build
+    Each triple keeps its text, joined by ``_line`` from items written once per
+    block set (``_block_set_items``), and the result is sorted by it; a window of
+    one symbol shares each row map it admits as the triple's rows; the build
     pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none,
     and on the way out it moves them, with every other tracked object, to the oldest
     generation, as ``structural`` sets out, so no young pass walks them after the call.
@@ -284,7 +285,10 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
 
 
 def _merged(maps) -> dict:
-    """One dict of the row maps, whose symbols differ; ``update`` reuses their stored hashes."""
+    """One dict of the row maps, whose symbols differ: the one map itself, shared as ``_of_rows``
+    shares rows, else a new dict, whose ``update`` reuses their stored hashes."""
+    if len(maps) == 1:
+        return maps[0]
     out = {}
     for rows in maps:
         out.update(rows)
@@ -316,19 +320,8 @@ def dominance_edges(triples) -> list:
 
 def chain_text(chain: ReductionChain) -> str:
     """Canonical one-line serialization; parse_chain inverts it."""
-    steps = " ".join(
-        f"{s.rho.id}:{s.lower}:{s.upper}:{_step_sign_text(s.sign)}"
-        for s in chain.steps)
-    tail = f"steps= {steps}" if steps else "steps="
-    return f"base={{{triple_text(chain.base)}}} ; {tail}"
-
-
-def _step_sign_text(v) -> str:
-    """'+' or '-' for a sign, else repr(v), which parse_chain refuses."""
-    try:
-        return _sign_char(_sign(v))
-    except ValueError:
-        return repr(v)
+    steps = "".join(_item(s.rho, (s.lower, s.upper), s.sign) for s in chain.steps)
+    return f"base={{{triple_text(chain.base)}}} ; steps={steps}"
 
 
 def parse_chain(text: str, cusp: CuspidalSupport, symbols) -> ReductionChain:

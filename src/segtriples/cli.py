@@ -104,7 +104,10 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
         body = f"{gl_text(gl)} (x) {leg_text}"
         lines.append(body if coeff == 1 else f"{coeff} * {body}")
     lines.append("")
-    sys.stdout.write("\n".join(lines))
+    # the bytes go to the buffer until it takes them all: an unbuffered one may take part of a write
+    data, out = memoryview("\n".join(lines).encode(sys.stdout.encoding)), sys.stdout.buffer
+    while data:
+        data = data[out.write(data):]
     return 0
 
 

@@ -44,10 +44,10 @@ or an extension's one step.
 
 The records ``Reduction`` and ``AlternatedWitness`` (and
 ``classify.ChainStep``) are named tuples of their fields (``_Record``).
-A triple's text is ``_row_items`` joined by ``_line``; an enumeration
-(``_admitted``) writes the same items once per block set
-(``_block_set_items``) and joins each row's by lookup.  Every text item
-is read back through ``_text_items``, a chain's steps included.
+Every text item, a chain's steps included, is written by ``_item`` and
+read back by ``_text_items``.  ``_block_set_items`` writes a block set's
+items once, and ``_line`` joins its symbols' into a triple's text, for
+``triple_text`` and an enumeration (``_admitted``) alike.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class JordanTriple:
             given.setdefault(rho, (set(), {}, {}))[2][key] = _sign(v)
         if any(not isinstance(rho, CuspidalSymbol) for rho in given):
             raise TypeError("triple keys must be CuspidalSymbol objects")
-        found, rows, items = [], {}, []
+        found, rows, parts = [], {}, []
         for rho in sorted(given, key=lambda s: s.id):
             blocks, singles, pairs = given[rho]
             blocks = tuple(sorted(blocks))
@@ -182,14 +182,18 @@ class JordanTriple:
             found += [(5, f"pair sign on {rho.id}:{lo}-{hi} breaks the product rule")
                       for (lo, hi), v in sorted(pairs.items()) if (lo, hi) in adjacent
                       and lo in singles and hi in singles and v != singles[lo] * singles[hi]]
-            items.append((rho, blocks, sorted(singles.items()), sorted(signs.items())))
+            parts.append((rho, blocks, singles, signs))
             # the row is kept only if no symbol has a violation
             rows[rho] = blocks, tuple(singles.get(a) for a in blocks) if derive else tuple(
                 itertools.accumulate((signs.get(k, PLUS) for k in adjacent), mul, initial=PLUS))
         found.sort(key=lambda kv: kv[0])
         _set_cusp(self, cusp)
         _set_rows(self, None if found else rows)
-        _set_text(self, _line(cusp, [_items(items)]) if found else None)
+        _set_text(self, _line(cusp, [(  # invalid input keeps its text: its items as given, in order
+            "".join(_item(rho, (a,)) for a in blocks),
+            "".join(_item(rho, (a,), v) for a, v in sorted(singles.items())),
+            "".join(_item(rho, pair, v) for pair, v in sorted(signs.items())))
+            for rho, blocks, singles, signs in parts]) if found else None)
         JordanTriple._problems.__set__(self, tuple(message for _, message in found))
 
     @classmethod
@@ -331,11 +335,11 @@ def validate_triple(t: JordanTriple) -> list:
     Jordan blocks, signs off or missing from their domain, and given
     pairs that break the product rule (signs are +1 or -1 when built).
     A triple built from input keeps what its constructor found.  The
-    rows of one the library built are checked in full: their text, read
+    rows of one the library built are checked in full: its text, read
     back as input, must build the same rows."""
     if (found := getattr(_checked(t, JordanTriple, "t"), "_problems", None)) is not None:
         return list(found)
-    again = parse_triple(_line(t.cusp, [_row_items(t.cusp, t.rows)]), t.cusp, {rho.id: rho for rho in t.rows})
+    again = parse_triple(triple_text(t), t.cusp, {rho.id: rho for rho in t.rows})
     return validate_triple(again) if again.rows is None or again._key == t._key else [
         "the rows are not in canonical form"]
 
@@ -542,8 +546,8 @@ def _admissible_rows(cusp, rho, blocks):
 
 
 def _admitted(cusp, rho, block_sets) -> tuple:
-    """The row maps at rho the peel admits on these sorted block sets, and each one's
-    ``_row_items``, from the texts ``_block_set_items`` writes once per block set with rows."""
+    """The row maps at rho the peel admits on these sorted block sets, and each one's items,
+    from the texts ``_block_set_items`` writes once per block set with rows."""
     rows, items = [], []
     for blocks in block_sets:
         if found := list(_admissible_rows(cusp, rho, blocks)):
@@ -671,46 +675,41 @@ def dominating_extensions(t: JordanTriple, lower: int, upper: int, rho) -> list:
 # -- canonical text form --------------------------------------------------
 
 
-def _sign_char(v: int) -> str:
-    return "+" if v == PLUS else "-"
-
-
-def _items(rows) -> tuple:
-    """The jord, single and pair items of rows ``(rho, blocks, singles, pairs)`` in text order, each
-    led by a space: singles as (block, sign) and pairs as ((lower, upper), sign), each in order."""
-    return ("".join(f" {rho.id}:{a}" for rho, blocks, _, _ in rows for a in blocks),
-            "".join(f" {rho.id}:{a}:{_sign_char(v)}" for rho, _, singles, _ in rows for a, v in singles),
-            "".join(f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for rho, _, _, pairs in rows for (lo, hi), v in pairs))
-
-
-def _row_items(cusp, rows) -> tuple:
-    """The ``_items`` of a row map over cusp: the letters are the singles where defined."""
-    return _items([(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (), _pair_items(row))
-                   for rho, row in rows.items()])
+def _item(rho, fields, *sign) -> str:
+    """One text item, led by a space, as ``_text_items`` reads it back: ``rho:a`` (jord),
+    ``rho:a:sign`` (single) or ``rho:lo:hi:sign`` (pair or chain step), the sign + or -,
+    or its repr where it is no sign, which ``_parse_sign`` refuses."""
+    text = f" {rho.id}:" + ":".join([f"{a}" for a in fields])
+    for v in sign:
+        try:
+            text += ":+" if _sign(v) == PLUS else ":-"
+        except ValueError:
+            text += f":{v!r}"
+    return text
 
 
 def _block_set_items(cusp, rho, blocks):
-    """The ``_row_items`` of a row at rho on these sorted blocks, as a function of its letters:
-    the jord text, and each position's two single and two pair texts, are written once, and
-    a row's are joined by lookup on its letters and on the products of adjacent letters."""
-    jord = "".join(f" {rho.id}:{a}" for a in blocks)
-    singles = [{v: f" {rho.id}:{a}:{_sign_char(v)}" for v in (PLUS, MINUS)}
+    """The jord, single and pair items of a row at rho on these sorted blocks, as a function of its
+    letters: each ``_item`` is written once for both signs, and a row's are joined by lookup on its
+    letters and on the products of adjacent letters; singles only where they are defined."""
+    jord = "".join(_item(rho, (a,)) for a in blocks)
+    singles = [{v: _item(rho, (a,), v) for v in (PLUS, MINUS)}
                for a in blocks] if singles_defined(cusp, rho) else ()
-    pairs = [{v: f" {rho.id}:{lo}:{hi}:{_sign_char(v)}" for v in (PLUS, MINUS)}
-             for lo, hi in zip(blocks, blocks[1:])]
+    pairs = [{v: _item(rho, pair, v) for v in (PLUS, MINUS)} for pair in zip(blocks, blocks[1:])]
     return lambda letters: (jord, "".join(map(getitem, singles, letters)),
                             "".join(map(getitem, pairs, map(mul, letters, letters[1:]))))
 
 
 def _line(cusp, parts) -> str:
-    """The canonical line over cusp of the ``_row_items`` of row maps in symbol id order."""
+    """The canonical line over cusp of its symbols' jord, single and pair items, in id order."""
     jord, single, pair = map("".join, zip(("", "", ""), *parts))
     return f"cusp={cusp.id} ; jord={jord} ; single={single} ; pair={pair}"
 
 
 def triple_text(t: JordanTriple) -> str:
     """Canonical one-line serialization; parse_triple inverts it."""
-    return _checked(t, JordanTriple, "t")._text or _line(t.cusp, [_row_items(t.cusp, t.rows)])
+    return _checked(t, JordanTriple, "t")._text or _line(t.cusp, [
+        _block_set_items(t.cusp, rho, blocks)(letters) for rho, (blocks, letters) in t.rows.items()])
 
 
 def _parse_sign(ch: str) -> int:

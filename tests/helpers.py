@@ -6,6 +6,7 @@ import gc
 import io
 
 from segtriples import (
+    PLUS,
     FormalSum,
     GLTerm,
     ODD,
@@ -96,19 +97,38 @@ def condition3_checks(t, chain):
     return checked
 
 
+def reference_text(t):
+    """The canonical line of the valid t, written from its public accessors
+    alone, as the library's writer is checked against: per section, each
+    symbol in id order, its blocks lowest first, each single where one is
+    defined, and each adjacent pair with its sign."""
+    def sign(v):
+        return "+" if v == PLUS else "-"
+
+    blocks = [(rho, a) for rho in sorted(t.symbols, key=lambda s: s.id) for a in sorted(t.jord_of(rho))]
+    jord = [f" {rho.id}:{a}" for rho, a in blocks]
+    single = [f" {rho.id}:{a}:{sign(v)}" for rho, a in blocks if (v := t.single(rho, a)) is not None]
+    pair = [f" {rho.id}:{lo}:{hi}:{sign(v)}"
+            for (rho, lo, hi), v in sorted(t.pairs, key=lambda kv: (kv[0][0].id, kv[0][1]))]
+    return f"cusp={t.cusp.id} ; jord={''.join(jord)} ; single={''.join(single)} ; pair={''.join(pair)}"
+
+
 def run_cli(argv):
     """Run the command line entry point in-process.
 
     Returns (exit_code, stdout, stderr).  Argument-parsing failures
-    surface as SystemExit and are mapped to their exit code.
+    surface as SystemExit and are mapped to their exit code.  Stdout is
+    a text stream over bytes, as a process's is, so a command may write
+    to its ``buffer``.
     """
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 2
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def collections_during(call):

@@ -57,7 +57,7 @@ from segtriples import (
     validate_triple,
 )
 from segtriples.triples import _admissible_rows, _admitted_ends, _peel, cuspidal_target
-from helpers import gap_insertions
+from helpers import gap_insertions, reference_text
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -225,6 +225,21 @@ def test_every_marked_value_passes_the_full_check(name):
     for t in enumerate_admissible(cusp, symbols, **bounds):
         assert t.rows is not None and validate_triple(t) == [], triple_text(t)
         assert_emitted_values_are_valid(t, bounds["max_a"] + 3)
+
+
+@pytest.mark.parametrize("name", WINDOWS)
+def test_triple_text_is_the_reference_text(name):
+    # the writer against one built from the public accessors alone: on every enumerated
+    # triple, its reductions, realized chain and parsed text, and an extension at each symbol
+    cusp, symbols, bounds = WINDOWS[name]
+    for t in enumerate_admissible(cusp, symbols, **bounds):
+        built = [t, realize_chain(canonical_chain(t)), parse_triple(triple_text(t), cusp, {"r": r, "q": q})]
+        built += [red.result for red in subordinate_reductions(t)]
+        for rho in symbols:
+            for lower, upper in gap_insertions(t, rho, bounds["max_a"] + 3)[:1]:
+                built += dominating_extensions(t, lower, upper, rho)
+        for u in built:
+            assert triple_text(u) == reference_text(u)
 
 
 def test_support_blocks_outside_the_window_admit_nothing():

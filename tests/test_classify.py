@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import re
@@ -45,8 +46,7 @@ from segtriples import (
     validate_triple,
 )
 from segtriples.algebra import SizeLimitError
-from segtriples.triples import _line, _row_items
-from helpers import collections_during, condition3_checks, odd_triple, run_cli
+from helpers import collections_during, condition3_checks, odd_triple, reference_text, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
 q = CuspidalSymbol("q", 2, EVEN)
@@ -598,7 +598,19 @@ def test_enumerated_text_is_the_row_text(cusp, symbols, window):
     got = enumerate_admissible(cusp, symbols, **window)
     assert all(any(t.jord_of(rho) for t in got) for rho in symbols)
     for t in got:
-        assert t._text == _line(cusp, [_row_items(cusp, t.rows)])
+        assert t._text == reference_text(t)
+
+
+def test_enumeration_output_is_pinned(tmp_path):
+    config = tmp_path / "window.json"
+    config.write_text(json.dumps({
+        "symbols": [{"id": "r", "rank": 1, "parity": "odd"}, {"id": "q", "rank": 2, "parity": "even"}],
+        "supports": [{"id": "c0"}],
+        "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 11}}))
+    code, out, _ = run_cli(["enumerate", "--config", str(config)])
+    assert code == 0 and out.count("\n") == 13_536
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1b8f6b4e41e2cbfe0da72a80fee2d5361da5820c65ff37d87ecbbd5e9b26ba0d")
 
 
 def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
@@ -613,14 +625,15 @@ def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
 
 @pytest.fixture
 def text_builds(monkeypatch):
-    """A list that grows by one, the function's name and arguments, at each call
-    of ``_block_set_items`` by the enumeration or of ``triples._row_items``."""
+    """A list that grows by one, the arguments, at each call of ``triples._block_set_items``,
+    the one row writer, by the enumeration or by ``triple_text``."""
     calls = []
-    for module, name in ((segtriples.triples, "_block_set_items"), (segtriples.triples, "_row_items")):
-        def counted(*args, name=name, real=getattr(module, name)):
-            calls.append((name, args))
-            return real(*args)
-        monkeypatch.setattr(module, name, counted)
+    real = segtriples.triples._block_set_items
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(segtriples.triples, "_block_set_items", counted)
     return calls
 
 
@@ -628,8 +641,8 @@ def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
     # one text build per block set that keeps a row, none per row
     got = enumerate_admissible(C0, [r, q], max_a=7)
     block_sets = {(rho.id, t.jord_of(rho)) for t in got for rho in (r, q)}
-    assert [name for name, _ in text_builds] == ["_block_set_items"] * len(block_sets)
-    assert {(rho.id, blocks) for _, (_, rho, blocks) in text_builds} == block_sets
+    assert len(text_builds) == len(block_sets)
+    assert {(rho.id, blocks) for _, rho, blocks in text_builds} == block_sets
     assert len(block_sets) < len(got)
     config = tmp_path / "window.json"
     config.write_text(json.dumps({
@@ -642,7 +655,6 @@ def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
         assert code == 0, err
         assert out.count("cusp=c0") >= len(got)
         assert len(text_builds) <= len(block_sets)
-        assert all(name == "_block_set_items" for name, _ in text_builds)
     text_builds.clear()
     with pytest.raises(ValueError, match="over the limit"):
         enumerate_admissible(C0, [r, q], max_a=17)

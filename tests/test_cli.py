@@ -255,11 +255,14 @@ def test_module_entry_point_runs_as_subprocess():
     assert proc.stdout == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
 
 
-def test_a_closed_stdout_ends_without_a_traceback():
-    # depth 4 prints 16,920 lines, far more than a pipe holds unread; a buffered
-    # stdout (PYTHONUNBUFFERED unset) meets the closed pipe on every write path
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
+    # depth 4 prints 16,920 lines, far more than a pipe holds unread; an
+    # unbuffered stdout may take only part of a write before the pipe closes
     src = str(Path(segtriples.__file__).parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "segtriples", "mu-star", "--config", BASE, "--sigma", "c0"]
         + ["--seg", "r:[-1,2]"] * 4,

@@ -525,6 +525,22 @@ def test_triple_text_round_trip():
     assert again == t
 
 
+@pytest.mark.parametrize("cusp, jord, singles, pairs, text", [
+    (C17, [(r, 3), (r, 1), (q, 2)], {(r, 5): MINUS, (r, 3): PLUS, (q, 2): MINUS}, {(r, 1, 3): MINUS},
+     "cusp=c17 ; jord= q:2 r:1 r:3 ; single= q:2:- r:3:+ r:5:- ; pair= r:1:3:-"),
+    (C0, [(r, 5), (r, 3), (r, 1)], {(r, 1): PLUS, (r, 3): MINUS, (r, 5): MINUS}, {(r, 1, 5): PLUS},
+     "cusp=c0 ; jord= r:1 r:3 r:5 ; single= r:1:+ r:3:- r:5:- ; pair= r:1:3:- r:1:5:+ r:3:5:+"),
+    (C0, [(q, 2), (q, 4), (r, 1)], {(q, 2): PLUS, (q, 4): PLUS, (r, 1): MINUS}, {(q, 2, 4): MINUS},
+     "cusp=c0 ; jord= q:2 q:4 r:1 ; single= q:2:+ q:4:+ r:1:- ; pair= q:2:4:-"),
+    (C0, [(r, 4), (r, 1), (q, 6)], {(r, 4): PLUS, (r, 1): MINUS}, {},
+     "cusp=c0 ; jord= q:6 r:1 r:4 ; single= r:1:- r:4:+ ; pair= r:1:4:-"),
+], ids=["off-domain single", "non-adjacent pair", "product-rule break", "wrong-parity block"])
+def test_the_text_of_invalid_input_is_pinned(cusp, jord, singles, pairs, text):
+    # the items as given, each section in symbol and block order, with the pairs the singles imply
+    t = JordanTriple(cusp, jord, singles, pairs)
+    assert t.rows is None and triple_text(t) == str(t) == text
+
+
 _SYMBOL = st.sampled_from([r, q])
 _BLOCK = st.integers(-1, 8)
 _SIGN = st.sampled_from([PLUS, MINUS])
