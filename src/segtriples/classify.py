@@ -165,7 +165,8 @@ def canonical_chain(t: JordanTriple) -> ReductionChain:
         raise NotAdmissibleError("no chain reaches an alternated triple")
     recorded, rows = [], {}
     for rho, removals, kept in peels:
-        recorded += [_new(ChainStep, (rho, *removal)) for removal in removals]
+        for removal in removals:
+            recorded.append(_new(ChainStep, (rho, *removal)))
         if kept[0]:
             rows[rho] = kept
     recorded.reverse()

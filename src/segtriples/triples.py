@@ -34,20 +34,19 @@ symbol leave the other rows alone, the lemma gives: the canonical peel,
 the stack reduction of each row's word, decides admissibility; and t
 dominates u exactly when u is t cut down to some of its blocks and
 each run of blocks of t that u lacks reduces to the empty word.
-``_peels`` walks the peel over a triple's symbols for every reader;
-each symbol's peel looks the support up once, walks the row by index
-and keeps its survivors as a signed row, the row itself when it removes
-nothing, which a chain's base takes as it is.  ``_admissible_rows``
-builds the rows the peel admits from ``_admitted_ends``, peeling none.
-``_grown`` is the one rule that grows a word: a chain's steps in turn,
-or an extension's one step.
+``_peels`` walks the peel over a triple's symbols for every reader.
+The walk end decides admission: a symbol's peel refuses by one sum a
+row whose walk misses the ends of ``_admitted_ends``, and runs its
+stack only on admitted rows, keeping the survivors as a signed row, or
+the row itself when it removes nothing.  ``_admissible_rows`` builds
+the admitted rows from those ends, peeling none.  ``_grown`` is the one
+rule that grows a word: a chain's steps in turn, or an extension's one.
 
 The records ``Reduction`` and ``AlternatedWitness`` (and
 ``classify.ChainStep``) are named tuples of their fields (``_Record``).
-Every text item, a chain's steps included, is written by ``_item`` and
-read back by ``_text_items``.  ``_block_set_items`` writes a block set's
-items once, and ``_line`` joins its symbols' into a triple's text, for
-``triple_text`` and an enumeration (``_admitted``) alike.
+Every text item, a chain's steps included, is written by ``_item`` (a
+row's through ``_row_items``, an enumerated block set's once through
+``_block_set_items``) and read back by ``_text_items``; ``_line`` joins.
 """
 
 from __future__ import annotations
@@ -77,11 +76,11 @@ class GapError(ValueError):
 
 
 class CuspidalSupport:
-    """A named cuspidal base object with its Jordan blocks per symbol;
-    a symbol given no blocks is dropped, so each support has one form.
-    Supports are frozen."""
+    """A named cuspidal base object with its Jordan blocks per symbol, one
+    dict in id order (``_blocks``); a symbol given no blocks is dropped, so
+    each support has one form.  Supports are frozen, hashed once when built."""
 
-    __slots__ = ("id", "_jord")
+    __slots__ = ("id", "_blocks", "_hash")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, id: str, jord=None):
@@ -97,36 +96,33 @@ class CuspidalSupport:
                     raise ValueError(f"cuspidal {problem}")
             if blocks:
                 rows.append((rho, frozenset(blocks)))
-        rows.sort(key=lambda kv: kv[0].id)
-        CuspidalSupport.id.__set__(self, id)
-        CuspidalSupport._jord.__set__(self, tuple(rows))
+        rows = dict(sorted(rows, key=lambda kv: kv[0].id))
+        for slot, value in zip(self.__slots__, (id, rows, hash((id, tuple(rows.items()))))):
+            object.__setattr__(self, slot, value)
 
     def jord_of(self, rho: CuspidalSymbol) -> frozenset:
-        for sym, blocks in self._jord:
-            if sym is rho or sym == rho:
-                return blocks
-        return frozenset()
+        return self._blocks.get(rho, frozenset())
 
     @property
     def symbols(self):
-        return tuple(sym for sym, _ in self._jord)
+        return tuple(self._blocks)
 
     def __eq__(self, other):
         if not isinstance(other, CuspidalSupport):
             return NotImplemented
-        return self.id == other.id and self._jord == other._jord
+        return self.id == other.id and self._blocks == other._blocks
 
     def __hash__(self):
-        return hash((self.id, self._jord))
+        return self._hash
 
     def __repr__(self):
-        body = {sym.id: sorted(blocks) for sym, blocks in self._jord}
+        body = {sym.id: sorted(blocks) for sym, blocks in self._blocks.items()}
         return f"CuspidalSupport({self.id!r}, {body!r})"
 
 
 def singles_defined(cusp: CuspidalSupport, rho: CuspidalSymbol) -> bool:
     """Whether single-block signs exist at rho over this support."""
-    return rho.parity == EVEN or not cusp.jord_of(rho)
+    return rho.parity == EVEN or rho not in cusp._blocks
 
 
 class JordanTriple:
@@ -189,10 +185,8 @@ class JordanTriple:
         found.sort(key=lambda kv: kv[0])
         _set_cusp(self, cusp)
         _set_rows(self, None if found else rows)
-        _set_text(self, _line(cusp, [(  # invalid input keeps its text: its items as given, in order
-            "".join(_item(rho, (a,)) for a in blocks),
-            "".join(_item(rho, (a,), v) for a, v in sorted(singles.items())),
-            "".join(_item(rho, pair, v) for pair, v in sorted(signs.items())))
+        _set_text(self, _line(cusp, [  # invalid input keeps its text: its items as given, in order
+            _row_items(rho, blocks, sorted(singles.items()), sorted(signs.items()))
             for rho, blocks, singles, signs in parts]) if found else None)
         JordanTriple._problems.__set__(self, tuple(message for _, message in found))
 
@@ -320,10 +314,10 @@ def _signed_row(blocks, letters, derive) -> tuple:
     return blocks, letters
 
 
-def _replace_row(t: JordanTriple, rho, blocks, letters) -> JordanTriple:
-    """t with its row at rho replaced by the blocks and their letters, signed
-    by ``_signed_row``, or dropped for no blocks; the other rows are shared."""
-    rows = {**t.rows, rho: _signed_row(blocks, letters, singles_defined(t.cusp, rho))}
+def _replace_row(t: JordanTriple, rho, blocks, letters, derive) -> JordanTriple:
+    """t with its row at rho replaced by the blocks and their letters, signed by
+    ``_signed_row`` (``derive``), or dropped for no blocks; the other rows are shared."""
+    rows = {**t.rows, rho: _signed_row(blocks, letters, derive)}
     if not blocks:
         del rows[rho]
     return JordanTriple._of_rows(t.cusp, rows)
@@ -395,10 +389,11 @@ def _reduce_in_turn(chain: list, t: JordanTriple, rho, pairs) -> JordanTriple:
     """The last triple of removing the pairs ``(lower, upper, ...)`` at rho from t in turn, each
     adjacent with equal letters when its turn comes; each step is appended to chain."""
     blocks, letters = t.rows.get(rho, _EMPTY)
+    derive = singles_defined(t.cusp, rho)
     for lower, upper, *_ in pairs:
         i = blocks.index(lower)
         blocks, letters = blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:]
-        t = _replace_row(t, rho, blocks, letters)
+        t = _replace_row(t, rho, blocks, letters, derive)
         chain.append(_new(Reduction, (rho, lower, upper, t)))
     return t
 
@@ -408,8 +403,9 @@ def subordinate_reductions(t: JordanTriple) -> list:
     symbol by symbol, each adjacent pair of equal letters, lowest first."""
     out = []
     for rho, (blocks, letters) in _checked(t, JordanTriple, "t").require_valid().rows.items():
-        out += [_new(Reduction, (rho, blocks[i], blocks[i + 1],
-                                 _replace_row(t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:])))
+        derive = singles_defined(t.cusp, rho)
+        out += [_new(Reduction, (rho, blocks[i], blocks[i + 1], _replace_row(
+                    t, rho, blocks[:i] + blocks[i + 2:], letters[:i] + letters[i + 2:], derive)))
                 for i in range(len(blocks) - 1) if letters[i] == letters[i + 1]]
     return out
 
@@ -442,12 +438,8 @@ def cuspidal_target(t: JordanTriple, rho) -> frozenset:
 
 def is_alternated(t: JordanTriple):
     """The witness matchings if t is of alternated type, else None.
-
-    Every symbol that carries blocks in t or in the cuspidal support is
-    inspected: a support symbol absent from t still needs its (empty)
-    block set to match the cuspidal target, so a nonempty target there
-    rules the witness out.
-    """
+    Every symbol carrying blocks in t or in the support is inspected: one
+    absent from t has no blocks to match its nonempty cuspidal target."""
     peels = _peels(_checked(t, JordanTriple, "t").require_valid())
     if peels is None or any(removals for _, removals, _ in peels):
         return None
@@ -459,16 +451,18 @@ def _peel(cusp, rho, row):
     """The canonical peel of a valid row at rho: remove the +1 pair with
     maximal upper endpoint (even rho) or minimal lower endpoint (odd rho)
     until none is left, by stack-reducing the word from the top (even)
-    or the bottom (odd).  ``(removals, kept)``: each removal's blocks
-    with its ``linking_sign`` before it (None if unlinked, then the
-    target is missed), and the survivors as a row signed as
-    ``_signed_row`` signs one, or the given row itself if nothing was
-    removed; None if they miss the target.  The support is looked up
-    once, and the stack holds blocks only: the kept letters alternate."""
-    target = len(cusp.jord_of(rho))
+    or the bottom (odd), if its walk ends at an end of ``_admitted_ends``,
+    else None before any stack work.  ``(removals, kept)``: each removal's
+    blocks with its ``linking_sign`` before it, and the survivors signed as
+    ``_signed_row`` signs a row, or the row itself if none was removed.  The
+    support is looked up once; the stack holds blocks: kept letters alternate."""
+    target = len(cusp._blocks.get(rho, ()))
     even = rho.parity == EVEN
-    derive = even or not target  # singles_defined, from the one lookup
     blocks, letters = row
+    end = sum(letters[::2]) - sum(letters[1::2])  # the walk's end, as in ``_admitted_ends``
+    if (end != -target and end != target + 1) if even else abs(end) != target:
+        return None
+    derive = even or not target  # singles_defined, from the one lookup
     n = len(blocks)
     # kept letters alternate, as equal neighbours cancel: top is the last, 0 on an empty stack
     kept, removals, top = [], [], 0
@@ -480,15 +474,12 @@ def _peel(cusp, rho, row):
             continue
         b = kept.pop()
         top = -v if kept else 0
-        # rows without singles are odd: the predecessor is on the stack, the successor unread
-        bit = (v if derive else v * top if kept
-               else v * letters[i + 1] if i + 1 < n else None)
+        # rows without singles are odd: the predecessor is on the stack, or else the successor is
+        # unread, as an admitted row keeps a block: the last letter never empties the stack
+        bit = v if derive else v * top if kept else v * letters[i + 1]
         removals.append((blocks[i], b, bit) if even else (b, blocks[i], bit))
     if even:
         kept.reverse()
-        target += top == PLUS  # the lowest block kept carries +1: the target gains the block 0
-    if len(kept) != target:
-        return None
     if removals:
         # alternating from the lowest block's letter: top at an even symbol; an odd one keeps
         # blocks only where singles are undefined, and its word starts at +1 (``_signed_row``)
@@ -498,13 +489,12 @@ def _peel(cusp, rho, row):
 
 
 def _peels(t: JordanTriple):
-    """The canonical peel of the valid t at each symbol carrying blocks
-    in t or in its cuspidal support, in id order, as ``(rho, removals,
-    kept)``; None if one symbol's peel misses its target.  Those are the
-    rows' symbols unless the support has one more."""
+    """The canonical peel of the valid t at each symbol carrying blocks in t or in its
+    cuspidal support, in id order, as ``(rho, removals, kept)``; None if one symbol's
+    peel refuses its row.  Those are the rows' symbols unless the support has one more."""
     cusp, rows = t.cusp, t.rows
-    items = rows.items() if all(rho in rows for rho, _ in cusp._jord) else [
-        (rho, rows.get(rho, _EMPTY)) for rho in sorted({*cusp.symbols, *rows}, key=lambda s: s.id)]
+    items = rows.items() if cusp._blocks.keys() <= rows.keys() else [
+        (rho, rows.get(rho, _EMPTY)) for rho in sorted({*cusp._blocks, *rows}, key=lambda s: s.id)]
     peels = []
     for rho, row in items:
         if (peeled := _peel(cusp, rho, row)) is None:
@@ -524,6 +514,7 @@ def _admitted_ends(cusp, rho, n: int) -> tuple:
     at rho, an odd symbol keeps t: e = t (t = 0 with singles; a row
     without is a word up to sign, and negation negates the walk); an
     even one keeps t (e = -t), or t + 1 if the lowest is +1 (e = t + 1).
+    So the end alone decides admission: ``_peel`` tests it before its stack.
     """
     t = len(cusp.jord_of(rho))
     ends = (-t, t + 1) if rho.parity == EVEN else (t,)
@@ -630,16 +621,15 @@ def _grown(t: JordanTriple, steps) -> JordanTriple:
     times the predecessor's letter, or the successor's at the lower
     boundary, or +1 on an empty row; no other letter changes.  Raises
     GapError at the first step whose interval meets a block already at
-    its symbol.  Each touched symbol keeps its sorted blocks and letters
-    as lists, with singles_defined from one support lookup; only the
-    result is built, its rows signed by ``_signed_row`` and re-ordered by
-    symbol id only when it gains a symbol, and t is returned for no steps."""
+    its symbol.  A touched symbol's blocks and letters are lists, with
+    singles_defined from one lookup; only the result is built, signed by
+    ``_signed_row`` and re-ordered by id only when it gains a symbol; t for no steps."""
     cusp, rows = t.cusp, t.rows
     walks = {}
     for rho, lower, upper, sign in steps:
         if (walk := walks.get(rho)) is None:
             blocks, letters = rows.get(rho, _EMPTY)
-            walk = walks[rho] = list(blocks), list(letters), rho.parity == EVEN or not cusp.jord_of(rho)
+            walk = walks[rho] = list(blocks), list(letters), rho.parity == EVEN or rho not in cusp._blocks
         blocks, letters, derive = walk
         i = bisect_left(blocks, lower)
         if i < len(blocks) and blocks[i] <= upper:
@@ -649,8 +639,9 @@ def _grown(t: JordanTriple, steps) -> JordanTriple:
         letters[i:i] = v, v
     if not walks:
         return t
-    grown = {**rows, **{rho: _signed_row(tuple(blocks), tuple(letters), derive)
-                        for rho, (blocks, letters, derive) in walks.items()}}
+    grown = rows.copy()
+    for rho, (blocks, letters, derive) in walks.items():
+        grown[rho] = _signed_row(tuple(blocks), tuple(letters), derive)
     if len(grown) > len(rows):
         grown = dict(sorted(grown.items(), key=lambda kv: kv[0].id))
     return JordanTriple._of_rows(cusp, grown)
@@ -688,6 +679,13 @@ def _item(rho, fields, *sign) -> str:
     return text
 
 
+def _row_items(rho, blocks, singles, pairs) -> tuple:
+    """The jord, single ``(a, sign)`` and pair ``((lo, hi), sign)`` items at rho, in the order given."""
+    return ("".join([_item(rho, (a,)) for a in blocks]),
+            "".join([_item(rho, (a,), v) for a, v in singles]),
+            "".join([_item(rho, pair, v) for pair, v in pairs]))
+
+
 def _block_set_items(cusp, rho, blocks):
     """The jord, single and pair items of a row at rho on these sorted blocks, as a function of its
     letters: each ``_item`` is written once for both signs, and a row's are joined by lookup on its
@@ -707,9 +705,10 @@ def _line(cusp, parts) -> str:
 
 
 def triple_text(t: JordanTriple) -> str:
-    """Canonical one-line serialization; parse_triple inverts it."""
-    return _checked(t, JordanTriple, "t")._text or _line(t.cusp, [
-        _block_set_items(t.cusp, rho, blocks)(letters) for rho, (blocks, letters) in t.rows.items()])
+    """Canonical one-line text, kept or of the rows' own items; parse_triple inverts it."""
+    cusp = _checked(t, JordanTriple, "t").cusp
+    return t._text or _line(cusp, [_row_items(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (),
+                                              _pair_items(row)) for rho, row in t.rows.items()])
 
 
 def _parse_sign(ch: str) -> int:

@@ -6,8 +6,10 @@ and builds every subordination step and dominance chain from each
 row's sign word.  The reference here keeps none of that: a step is the
 pair-sign rule read through the public accessors (the bridge between
 the removed pair's outer neighbours takes the product of the two
-crossing pairs), and admissibility and dominance are the depth-first
-searches over those steps that the library replaced, run against an
+crossing pairs), alternated type is its definition read the same
+way, apart from the peel's walk-end test (``reference_alternated``),
+and admissibility and dominance are the depth-first searches over
+those steps that the library replaced, run against an
 enumerator that pushes the whole joint product of block sets and sign
 assignments through them.  The two must agree on every candidate of
 every window.  The chain that ``canonical_chain`` reads off each
@@ -93,11 +95,27 @@ def reference_steps(t):
             for (rho, lo, hi), v in t.pairs if v == PLUS]
 
 
+def reference_alternated(t):
+    """Whether t is of alternated type, from the definition through the
+    public accessors: every pair carries -1 and, at each symbol carrying
+    blocks in t or in its support, the blocks are as many as the cuspidal
+    target, the support's blocks there joined with 0 when the lowest
+    block is even and carries single sign +1."""
+    if any(v != MINUS for _, v in t.pairs):
+        return False
+    for rho in {*t.symbols, *t.cusp.symbols}:
+        blocks = sorted(t.jord_of(rho))
+        zero = bool(blocks) and blocks[0] % 2 == 0 and t.single(rho, blocks[0]) == PLUS
+        if len(blocks) != len(t.cusp.jord_of(rho)) + zero:
+            return False
+    return True
+
+
 def reference_admissible(t, memo):
     """Whether some chain of subordination steps ends in an alternated
-    triple; ``memo`` is shared across one window."""
+    triple (``reference_alternated``); ``memo`` is shared across one window."""
     if t not in memo:
-        memo[t] = is_alternated(t) is not None or any(
+        memo[t] = reference_alternated(t) or any(
             reference_admissible(step[3], memo) for step in reference_steps(t))
     return memo[t]
 
@@ -178,6 +196,7 @@ def test_peel_agrees_with_the_search(name):
     memo = {}
     admitted = []
     for t in candidates(cusp, symbols, **bounds):
+        assert (is_alternated(t) is not None) == reference_alternated(t), triple_text(t)
         chain = is_admissible(t)
         assert (chain is not None) == reference_admissible(t, memo), triple_text(t)
         if chain is None:

@@ -33,7 +33,8 @@ from segtriples import (
     validate_triple,
 )
 from segtriples.config import load_config
-from segtriples.triples import cuspidal_target
+from segtriples import triples
+from segtriples.triples import _peels, cuspidal_target
 from helpers import odd_triple, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -60,6 +61,38 @@ def test_support_stores_blocks_per_symbol():
 def test_support_equality_is_content_based():
     assert CuspidalSupport("c17", {r: {7, 1}}) == C17
     assert CuspidalSupport("c17", {r: {1, 3}}) != C17
+
+
+def test_support_looks_blocks_up_by_symbol_value():
+    assert C17.jord_of(CuspidalSymbol("r", 1, ODD)) == {1, 7}  # equal, built apart
+    assert C17.jord_of(CuspidalSymbol("p", 1, ODD)) == frozenset()
+    assert not singles_defined(C17, CuspidalSymbol("r", 1, ODD))
+
+
+def test_support_key_order_is_not_kept():
+    one = CuspidalSupport("cb", {r: {3, 1}, q: [4, 2]})
+    other = CuspidalSupport("cb", {q: {2, 4}, r: (1, 3)})
+    assert one == other and hash(one) == hash(other)
+    assert one.symbols == other.symbols == (q, r)
+    assert CuspidalSupport("cb", {q: {2, 4}}) != one
+
+
+def test_support_repr_is_pinned():
+    assert repr(CuspidalSupport("cb", {r: {3, 1}, q: [4, 2]})) == "CuspidalSupport('cb', {'q': [2, 4], 'r': [1, 3]})"
+    assert repr(C0) == "CuspidalSupport('c0', {})"
+
+
+def test_peels_visit_a_support_symbol_the_triple_lacks(monkeypatch):
+    # q lies between p and r in id order and carries blocks only in the support
+    p = CuspidalSymbol("p", 2, EVEN)
+    cusp = CuspidalSupport("cq", {q: {2}})
+    t = make_triple(cusp, [(p, 2), (r, 1), (r, 3)], {(p, 2): PLUS, (r, 1): PLUS, (r, 3): MINUS})
+    seen = []
+    peel = triples._peel
+    monkeypatch.setattr(triples, "_peel", lambda *args: seen.append(args[1:]) or peel(*args))
+    assert _peels(t) is None
+    assert seen == [(p, t.rows[p]), (q, ((), ()))]
+    assert is_admissible(t) is None and is_alternated(t) is None
 
 
 def test_support_drops_empty_block_sets():
