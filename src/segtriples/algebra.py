@@ -41,6 +41,14 @@ class SizeLimitError(ValueError):
     """An input whose work would pass a documented size limit, refused before any of it."""
 
 
+def _checked_id(id, what: str):
+    """ValueError unless id is a nonempty string free of what ends a text item, section or base."""
+    if not isinstance(id, str) or not id:
+        raise ValueError(f"{what} id must be a nonempty string")
+    if any(ch.isspace() or ch in ";{}" for ch in id):
+        raise ValueError(f"{what} id {id!r} must hold no whitespace, ';', '{{' or '}}'")
+
+
 class CuspidalSymbol:
     """An irreducible self-dual cuspidal placeholder.
 
@@ -57,8 +65,7 @@ class CuspidalSymbol:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, id: str, rank: int = 1, parity: str = ODD):
-        if not isinstance(id, str) or not id:
-            raise ValueError("symbol id must be a nonempty string")
+        _checked_id(id, "symbol")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         if parity not in (EVEN, ODD):

@@ -14,8 +14,8 @@ extension work happens.  A ``ChainStep`` is a named tuple of its
 fields, as ``triples._Record`` sets out; a ``ReductionChain`` is a
 frozen slotted value with a validity mark.  Realizing a chain is
 ``triples._grown`` over its base, the rule that grows every triple.  An
-enumeration takes each symbol's admitted rows and their texts from
-``triples._admitted``, over the block sets whose size has an admitted end.
+enumeration takes each symbol's admitted rows and their texts from one
+``triples._admitted`` call over the symbol's size groups of ``_window``.
 """
 
 from __future__ import annotations
@@ -262,8 +262,8 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
     and TypeError, before any is read, when a symbol is no CuspidalSymbol or cusp no CuspidalSupport.
-    Each triple keeps its text, joined by ``_line`` from items written once per
-    block set (``_block_set_items``), and the result is sorted by it; a window of
+    Each triple keeps its text, joined by ``_line`` from items ``_admitted`` writes once per
+    block set over each symbol's size groups, and the result is sorted by it; a window of
     one symbol shares each row map it admits as the triple's rows; the build
     pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none,
     and on the way out it moves them, with every other tracked object, to the oldest
@@ -275,9 +275,7 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     if not size:
         return []
     with _collector_paused():
-        # sizes with no admitted end hold no row: their sets are never generated
-        per_symbol = [_admitted(cusp, rho, itertools.chain.from_iterable(
-            sets for n, _, sets in groups if _admitted_ends(cusp, rho, n))) for rho, groups in window.items()]
+        per_symbol = [_admitted(cusp, rho, groups) for rho, groups in window.items()]
         found = [JordanTriple._of_rows(cusp, _merged(combo), _line(cusp, parts))
                  for combo, parts in zip(itertools.product(*(rows for rows, _ in per_symbol)),
                                          itertools.product(*(items for _, items in per_symbol)))]

@@ -38,15 +38,15 @@ each run of blocks of t that u lacks reduces to the empty word.
 The walk end decides admission: a symbol's peel refuses by one sum a
 row whose walk misses the ends of ``_admitted_ends``, and runs its
 stack only on admitted rows, keeping the survivors as a signed row, or
-the row itself when it removes nothing.  ``_admissible_rows`` builds
-the admitted rows from those ends, peeling none.  ``_grown`` is the one
+the row itself when it removes nothing.  ``_admitted`` builds those
+rows and their text from the ends, peeling none.  ``_grown`` is the one
 rule that grows a word: a chain's steps in turn, or an extension's one.
 
 The records ``Reduction`` and ``AlternatedWitness`` (and
 ``classify.ChainStep``) are named tuples of their fields (``_Record``).
 Every text item, a chain's steps included, is written by ``_item`` (a
-row's through ``_row_items``, an enumerated block set's once through
-``_block_set_items``) and read back by ``_text_items``; ``_line`` joins.
+row's through ``_row_items``, an enumerated block set's once in
+``_admitted``) and read back by ``_text_items``; ``_line`` joins.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from operator import getitem, mul
 
-from .algebra import EVEN, CuspidalSymbol, _immutable
+from .algebra import EVEN, CuspidalSymbol, _checked_id, _immutable
 from .halfint import _parse_int
 
 PLUS = 1
@@ -84,8 +84,7 @@ class CuspidalSupport:
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, id: str, jord=None):
-        if not isinstance(id, str) or not id:
-            raise ValueError("support id must be a nonempty string")
+        _checked_id(id, "support")
         rows = []
         for rho, blocks in (jord or {}).items():
             if not isinstance(rho, CuspidalSymbol):
@@ -214,10 +213,18 @@ class JordanTriple:
 
     def single(self, rho, a):
         blocks, letters = self._row(rho)
-        return letters[blocks.index(a)] if a in blocks and singles_defined(self.cusp, rho) else None
+        try:
+            return letters[blocks.index(a)] if singles_defined(self.cusp, rho) else None
+        except ValueError:
+            return None
 
     def pair(self, rho, lo, hi):
-        return dict(_pair_items(self._row(rho))).get((lo, hi))
+        blocks, letters = self._row(rho)
+        try:
+            i = blocks.index(lo)
+        except ValueError:
+            return None
+        return letters[i] * letters[i + 1] if blocks[i + 1:i + 2] == (hi,) else None
 
     @property
     def pairs(self) -> tuple:
@@ -369,13 +376,12 @@ def _plus_pair(t: JordanTriple, rho, lower: int, upper: int):
     """The row at rho of the valid t and the index of lower, where
     (lower, upper) is adjacent and carries +1: its two letters are equal."""
     _checked(rho, CuspidalSymbol, "rho")
-    blocks, letters = _checked(t, JordanTriple, "t")._row(rho)
-    if (lower, upper) not in zip(blocks, blocks[1:]):
+    if (sign := _checked(t, JordanTriple, "t").pair(rho, lower, upper)) is None:
         raise ValueError(f"({lower},{upper}) is not an adjacent pair at {rho.id}")
-    i = blocks.index(lower)
-    if letters[i] != letters[i + 1]:
+    if sign != PLUS:
         raise ValueError("only pairs carrying +1 can be removed")
-    return blocks, letters, i
+    blocks, letters = t._row(rho)
+    return blocks, letters, blocks.index(lower)
 
 
 def reduce_at(t: JordanTriple, rho, lower: int, upper: int) -> JordanTriple:
@@ -521,30 +527,30 @@ def _admitted_ends(cusp, rho, n: int) -> tuple:
     return tuple(e for e in ends if abs(e) <= n and (n - e) % 2 == 0)
 
 
-def _admissible_rows(cusp, rho, blocks):
-    """Every row at rho over cusp on exactly these sorted blocks that the peel admits, signed by
-    ``_signed_row``, as a row map (empty for no blocks): one per choice of up steps of a walk to
-    an admitted end; step i leaves parity i."""
-    n = len(blocks)
+def _admitted(cusp, rho, groups) -> tuple:
+    """The row maps at rho the peel admits on the sets of ``classify._window``'s size groups, with
+    their items: per size, a word per choice of up steps of a walk to an admitted end (step i leaves
+    parity i), no set read if none; per set, each ``_item`` written once, a row's joined by lookup."""
     derive = singles_defined(cusp, rho)
-    down = [MINUS if i % 2 == 0 else PLUS for i in range(n)]
-    for e in _admitted_ends(cusp, rho, n):
-        for ups in itertools.combinations(range(n), (n + e) // 2):
-            letters = down.copy()
-            for i in ups:
-                letters[i] = -letters[i]
-            yield {rho: _signed_row(blocks, tuple(letters), derive)} if blocks else {}
-
-
-def _admitted(cusp, rho, block_sets) -> tuple:
-    """The row maps at rho the peel admits on these sorted block sets, and each one's items,
-    from the texts ``_block_set_items`` writes once per block set with rows."""
     rows, items = [], []
-    for blocks in block_sets:
-        if found := list(_admissible_rows(cusp, rho, blocks)):
-            texts = _block_set_items(cusp, rho, blocks)
-            rows += found
-            items += [texts(row.get(rho, _EMPTY)[1]) for row in found]
+    for n, _, sets in groups:
+        down = [MINUS if i % 2 == 0 else PLUS for i in range(n)]
+        words = []
+        for e in _admitted_ends(cusp, rho, n):
+            for ups in itertools.combinations(range(n), (n + e) // 2):
+                letters = down.copy()
+                for i in ups:
+                    letters[i] = -letters[i]
+                words.append(tuple(letters))
+        for blocks in sets if words else ():
+            jord = "".join([_item(rho, (a,)) for a in blocks])
+            singles = [{v: _item(rho, (a,), v) for v in (PLUS, MINUS)} for a in blocks] if derive else ()
+            pairs = [{v: _item(rho, pair, v) for v in (PLUS, MINUS)} for pair in zip(blocks, blocks[1:])]
+            for word in words:
+                _, letters = row = _signed_row(blocks, word, derive)
+                rows.append({rho: row} if blocks else {})
+                items.append((jord, "".join(map(getitem, singles, letters)),
+                              "".join(map(getitem, pairs, map(mul, letters, letters[1:])))))
     return rows, items
 
 
@@ -684,18 +690,6 @@ def _row_items(rho, blocks, singles, pairs) -> tuple:
     return ("".join([_item(rho, (a,)) for a in blocks]),
             "".join([_item(rho, (a,), v) for a, v in singles]),
             "".join([_item(rho, pair, v) for pair, v in pairs]))
-
-
-def _block_set_items(cusp, rho, blocks):
-    """The jord, single and pair items of a row at rho on these sorted blocks, as a function of its
-    letters: each ``_item`` is written once for both signs, and a row's are joined by lookup on its
-    letters and on the products of adjacent letters; singles only where they are defined."""
-    jord = "".join(_item(rho, (a,)) for a in blocks)
-    singles = [{v: _item(rho, (a,), v) for v in (PLUS, MINUS)}
-               for a in blocks] if singles_defined(cusp, rho) else ()
-    pairs = [{v: _item(rho, pair, v) for v in (PLUS, MINUS)} for pair in zip(blocks, blocks[1:])]
-    return lambda letters: (jord, "".join(map(getitem, singles, letters)),
-                            "".join(map(getitem, pairs, map(mul, letters, letters[1:]))))
 
 
 def _line(cusp, parts) -> str:

@@ -58,7 +58,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
-from segtriples.triples import _admissible_rows, _admitted_ends, _peel, cuspidal_target
+from segtriples.triples import _admitted, _admitted_ends, _peel, cuspidal_target
 from helpers import gap_insertions, reference_text
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -395,7 +395,7 @@ def reference_rows(cusp, rho, blocks):
     """Every row at rho over cusp on the sorted blocks that the peel
     admits, by filtering all sign words: every word where singles are
     defined, else every word that starts at +1 (a word counts only up to
-    sign there); as ``_admissible_rows`` gives them."""
+    sign there); as ``_admitted`` gives them."""
     derive = singles_defined(cusp, rho)
     for bits in itertools.product((PLUS, MINUS), repeat=len(blocks) - (not derive and bool(blocks))):
         row = (blocks, bits if derive else (PLUS,) * bool(blocks) + bits)
@@ -449,7 +449,7 @@ def test_admissible_rows_are_the_filtered_rows(cusp, rho):
     for n in range(11):
         for _ in range(2):
             blocks = tuple(sorted(rnd.sample(pool, n)))
-            built = [frozen_rows(rows) for rows in _admissible_rows(cusp, rho, blocks)]
+            built = [frozen_rows(rows) for rows in _admitted(cusp, rho, [(n, 1, (blocks,))])[0]]
             assert len(set(built)) == len(built), blocks
             assert set(built) == {frozen_rows(rows) for rows in reference_rows(cusp, rho, blocks)}, blocks
 

@@ -53,6 +53,14 @@ def test_symbol_validation():
         CuspidalSymbol("x", 1, "sideways")
 
 
+@pytest.mark.parametrize("ch", [" ", "\t", "\n", "\u2003", ";", "{", "}"], ids=repr)
+def test_symbol_ids_hold_nothing_the_text_form_ends_on(ch):
+    with pytest.raises(ValueError, match="^symbol id .* must hold no whitespace, ';', '{' or '}'$"):
+        CuspidalSymbol(f"a{ch}b", 1, ODD)
+    with pytest.raises(ValueError, match="^symbol id must be a nonempty string$"):
+        CuspidalSymbol(None, 1, ODD)
+
+
 def test_symbol_parity():
     assert r.matches_parity(1) and r.matches_parity(3)
     assert not r.matches_parity(2)

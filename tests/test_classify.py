@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,19 +451,20 @@ def test_enumeration_refuses_an_oversized_window():
 
 @pytest.fixture
 def row_work(monkeypatch):
-    """A list that grows by one at each call of ``triples._admissible_rows`` or ``triples._peel``."""
+    """A list that grows by one at each call of ``_admitted``, the row builder the enumeration
+    calls, or of ``triples._peel``."""
     calls = []
-    admissible_rows, peel = segtriples.triples._admissible_rows, segtriples.triples._peel
+    admitted, peel = segtriples.classify._admitted, segtriples.triples._peel
 
     def counted_rows(*args):
-        calls.append("_admissible_rows")
-        return admissible_rows(*args)
+        calls.append("_admitted")
+        return admitted(*args)
 
     def counted_peel(*args):
         calls.append("_peel")
         return peel(*args)
 
-    monkeypatch.setattr(segtriples.triples, "_admissible_rows", counted_rows)
+    monkeypatch.setattr(segtriples.classify, "_admitted", counted_rows)
     monkeypatch.setattr(segtriples.triples, "_peel", counted_peel)
     return calls
 
@@ -479,14 +481,24 @@ def test_a_refusal_builds_and_peels_no_row(row_work):
     assert row_work == []
     # a window inside the limit builds its rows without peeling any
     assert len(enumerate_admissible(C0, [r, q], max_a=7)) > 0
-    assert "_admissible_rows" in row_work and "_peel" not in row_work
+    assert "_admitted" in row_work and "_peel" not in row_work
 
 
-def test_enumeration_skips_the_sizes_with_no_admitted_end(row_work):
+def test_enumeration_skips_the_sizes_with_no_admitted_end(monkeypatch):
     # r over c0 admits words of even length only: of the 32 sets of its blocks up to 9,
     # the 16 of 0, 2 and 4 blocks are read, and those of odd size never generated
+    read, window = [], segtriples.classify._window
+
+    def counted(sets):
+        for blocks in sets:
+            read.append(len(blocks))
+            yield blocks
+
+    monkeypatch.setattr(segtriples.classify, "_window", lambda *args: {
+        rho: [(n, how_many, counted(sets)) for n, how_many, sets in groups]
+        for rho, groups in window(*args).items()})
     assert len(enumerate_admissible(C0, [r], max_a=9)) == 1 + 10 * 2 + 5 * 6
-    assert row_work == ["_admissible_rows"] * 16
+    assert sorted(read) == [0] + [2] * 10 + [4] * 5
 
 
 def test_enumeration_leaves_no_young_pass_owed():
@@ -625,24 +637,28 @@ def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
 
 @pytest.fixture
 def text_builds(monkeypatch):
-    """A list that grows by one, the arguments, at each call of ``triples._block_set_items``,
-    the one row writer, by the enumeration or by ``triple_text``."""
+    """A list that grows by one, the arguments, at each call of ``triples._item``,
+    the one item writer, by the enumeration or by ``triple_text``."""
     calls = []
-    real = segtriples.triples._block_set_items
+    real = segtriples.triples._item
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(segtriples.triples, "_block_set_items", counted)
+    monkeypatch.setattr(segtriples.triples, "_item", counted)
     return calls
 
 
 def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
-    # one text build per block set that keeps a row, none per row
+    # each item of a block set that keeps a row is written once, for both signs, none per row
     got = enumerate_admissible(C0, [r, q], max_a=7)
-    block_sets = {(rho.id, t.jord_of(rho)) for t in got for rho in (r, q)}
-    assert len(text_builds) == len(block_sets)
-    assert {(rho.id, blocks) for _, rho, blocks in text_builds} == block_sets
+    block_sets = {(rho, t.jord_of(rho)) for t in got for rho in (r, q)}
+    items = Counter()
+    for rho, blocks in block_sets:
+        items.update((rho, (a,)) for a in blocks)
+        items.update((rho, (a,), v) for a in blocks for v in (PLUS, MINUS) if singles_defined(C0, rho))
+        items.update((rho, pair, v) for pair in zip(blocks, blocks[1:]) for v in (PLUS, MINUS))
+    assert Counter(text_builds) == items
     assert len(block_sets) < len(got)
     config = tmp_path / "window.json"
     config.write_text(json.dumps({
@@ -654,7 +670,7 @@ def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
         code, out, err = run_cli([command, "--config", str(config)])
         assert code == 0, err
         assert out.count("cusp=c0") >= len(got)
-        assert len(text_builds) <= len(block_sets)
+        assert Counter(text_builds) <= items
     text_builds.clear()
     with pytest.raises(ValueError, match="over the limit"):
         enumerate_admissible(C0, [r, q], max_a=17)
