@@ -251,10 +251,9 @@ class GLTerm:
     def __hash__(self):
         return self._hash
 
-    def __str__(self):
-        if self.is_unit:
-            return "1"
-        return " x ".join(map(str, self.segments))
+    def __str__(self, seg_text=str):
+        """The segments' texts, each written by ``seg_text``, joined by " x "; "1" for the unit."""
+        return " x ".join(map(seg_text, self.segments)) or "1"
 
     def __repr__(self):
         return f"GLTerm({list(self.segments)!r})"

@@ -195,8 +195,8 @@ def realize_chain(chain: ReductionChain) -> JordanTriple:
 
 def _window(symbols, max_a, max_jord, jord_sets) -> dict:
     """Each symbol's candidate block sets, in id order, in groups ``(n, how_many, sets)``
-    by size n: each set ``jord_sets`` lists for it, sorted, or else, lazily,
-    every set of at most ``max_jord`` blocks from ``rho.blocks_upto(max_a)``."""
+    by size n, smallest first: each set ``jord_sets`` lists for it, sorted, as often as it is
+    listed, or else, lazily, every set of at most ``max_jord`` blocks from ``rho.blocks_upto(max_a)``."""
     for name, bound in (("max_a", max_a), ("max_jord", max_jord)):
         if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
             raise ValueError(f"{name} must be a nonnegative integer, got {bound!r}")
@@ -207,8 +207,11 @@ def _window(symbols, max_a, max_jord, jord_sets) -> dict:
     window = {}
     for name, rho in ids.items():
         if name in jord_sets:
-            sets = [_block_set(rho, blocks, f"jord_sets[{name!r}]") for blocks in jord_sets[name]]
-            window[rho] = [(len(blocks), 1, (blocks,)) for blocks in sets]
+            by_size = {}
+            for blocks in jord_sets[name]:
+                blocks = _block_set(rho, blocks, f"jord_sets[{name!r}]")
+                by_size.setdefault(len(blocks), []).append(blocks)
+            window[rho] = [(n, len(sets), sets) for n, sets in sorted(by_size.items())]
         elif max_a is None:
             raise ValueError(f"no max_a and no jord_sets entry for {name!r}")
         else:

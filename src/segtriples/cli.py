@@ -2,21 +2,26 @@
 
 Every subcommand takes --config pointing at a JSON run configuration
 (see config.py) and prints deterministic plain text, so outputs can be
-diffed across runs.  Exit status: 0 on success, 1 on a domain error
-(invalid triple, inadmissible input, precondition failure), 2 on a usage
-or config error (bad flags, unknown names, malformed specs, oversized input),
-and 141 (128 + SIGPIPE, as a shell reports a process that signal ends) when
-the reader closes stdout before all output is written, as ``| head`` does;
-the rest of the output is then dropped, and no message is printed.
+diffed across runs.  Each ``_cmd_*`` returns its exit status and its
+lines, lazily where the output grows with the input; ``_write`` alone
+writes them, in batches of ``_BATCH_LINES`` lines, to stdout's buffer.
+Exit status: 0 on success, 1 on a domain error (invalid triple,
+inadmissible input, precondition failure), 2 on a usage or config error
+(bad flags, unknown names, malformed specs, oversized input), and 141
+(128 + SIGPIPE, as a shell reports a process that signal ends) when the
+reader closes stdout before all output is written, as ``| head`` does,
+for every command and buffered or not (``PYTHONUNBUFFERED``); the rest
+of the output is then dropped, and no message is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
-from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError
+from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError, render_term
 from .classify import (
     canonical_chain,
     chain_text,
@@ -37,6 +42,8 @@ from .triples import (
 
 
 EXIT_PIPE_CLOSED = 141
+# the lines one write to stdout takes
+_BATCH_LINES = 1024
 
 
 class UsageError(ValueError):
@@ -76,10 +83,16 @@ def _segment(cfg: RunConfig, text: str):
         raise UsageError(str(exc)) from None
 
 
+def _once(write):
+    """``write``, with each distinct value's text written once and then looked up."""
+    texts = {}
+    return lambda value: texts.get(value) or texts.setdefault(value, write(value))
+
+
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_mu_star(cfg: RunConfig, args) -> int:
+def _cmd_mu_star(cfg: RunConfig, args):
     _support(cfg, args.sigma)
     table = cfg.expansion_table()
     obj = GSpinTerm.cuspidal(args.sigma)
@@ -88,27 +101,11 @@ def _cmd_mu_star(cfg: RunConfig, args) -> int:
         seg = _segment(cfg, text)
         expansion = expand_induced(seg, obj, table)
         obj = induce(seg, obj)
-    # as render_term writes them, but each distinct segment, GL term and
-    # induced leg is written once, and the lines in one write
-    seg_texts, gl_texts, leg_texts, lines = {}, {}, {}, []
-
-    def gl_text(gl):
-        if (text := gl_texts.get(gl)) is None:
-            text = gl_texts[gl] = " x ".join([seg_texts.get(s.key) or seg_texts.setdefault(s.key, str(s))
-                                              for s in gl.segments]) or "1"
-        return text
-
-    for (gl, leg), coeff in expansion.terms:
-        if (leg_text := leg_texts.get(leg)) is None:
-            leg_text = leg_texts[leg] = " |x ".join([*map(gl_text, leg.gl_terms), leg.base])
-        body = f"{gl_text(gl)} (x) {leg_text}"
-        lines.append(body if coeff == 1 else f"{coeff} * {body}")
-    lines.append("")
-    # the bytes go to the buffer until it takes them all: an unbuffered one may take part of a write
-    data, out = memoryview("\n".join(lines).encode(sys.stdout.encoding)), sys.stdout.buffer
-    while data:
-        data = data[out.write(data):]
-    return 0
+    # each distinct segment, GL term and induced leg is written once
+    seg_text = _once(str)
+    gl_text = _once(lambda gl: gl.__str__(seg_text))
+    leg_text = _once(lambda leg: leg.__str__(gl_text))
+    return 0, (render_term((gl_text(gl), leg_text(leg)), coeff) for (gl, leg), coeff in expansion.terms)
 
 
 def _enumerate(cfg: RunConfig) -> list:
@@ -119,44 +116,33 @@ def _enumerate(cfg: RunConfig) -> list:
                                 cfg.bounds["max_a"], cfg.bounds["max_jord"], cfg.bounds["jord_sets"])
 
 
-def _cmd_enumerate(cfg: RunConfig, args) -> int:
-    for t in _enumerate(cfg):
-        print(triple_text(t))
-    return 0
+def _cmd_enumerate(cfg: RunConfig, args):
+    return 0, map(triple_text, _enumerate(cfg))
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
+def _cmd_check(cfg: RunConfig, args):
     t = _resolve_triple(cfg, args)
-    problems = validate_triple(t)
-    if problems:
-        for p in problems:
-            print(f"violation: {p}")
-        return 1
+    if problems := validate_triple(t):
+        return 1, [f"violation: {p}" for p in problems]
     try:
         chain = canonical_chain(t)
     except NotAdmissibleError:
-        print("not admissible")
-        return 0
+        return 0, ["not admissible"]
     step = "step" if len(chain.steps) == 1 else "steps"
-    print(f"admissible, {len(chain.steps)} {step}")
-    print(chain_text(chain))
-    return 0
+    return 0, [f"admissible, {len(chain.steps)} {step}", chain_text(chain)]
 
 
-def _cmd_reduce(cfg: RunConfig, args) -> int:
+def _cmd_reduce(cfg: RunConfig, args):
     t = _resolve_triple(cfg, args)
-    for red in subordinate_reductions(t):
-        print(f"{red.rho.id}:{red.lower}:{red.upper} -> {triple_text(red.result)}")
-    return 0
+    return 0, [f"{red.rho.id}:{red.lower}:{red.upper} -> {triple_text(red.result)}"
+               for red in subordinate_reductions(t)]
 
 
-def _cmd_chain(cfg: RunConfig, args) -> int:
-    t = _resolve_triple(cfg, args)
-    print(chain_text(canonical_chain(t)))
-    return 0
+def _cmd_chain(cfg: RunConfig, args):
+    return 0, [chain_text(canonical_chain(_resolve_triple(cfg, args)))]
 
 
-def _cmd_jord_update(cfg: RunConfig, args) -> int:
+def _cmd_jord_update(cfg: RunConfig, args):
     try:
         x = HalfInt.parse(args.x)
         y = HalfInt.parse(args.y)
@@ -168,19 +154,25 @@ def _cmd_jord_update(cfg: RunConfig, args) -> int:
     else:
         rho = CuspidalSymbol("auto", 1, ODD if x.is_integer else EVEN)
     updated = jord_update(EmbeddingDatum(rho, x, y, blocks))
-    print("{" + ", ".join(str(a) for a in sorted(updated)) + "}")
-    return 0
+    return 0, ["{" + ", ".join(str(a) for a in sorted(updated)) + "}"]
 
 
-def _cmd_dominance_dag(cfg: RunConfig, args) -> int:
+def _cmd_dominance_dag(cfg: RunConfig, args):
     nodes = _enumerate(cfg)
-    print("digraph dominance {")
-    for t in nodes:
-        print(f'  "{triple_text(t)}";')
-    for parent, child in dominance_edges(nodes):
-        print(f'  "{parent}" -> "{child}";')
-    print("}")
-    return 0
+    return 0, itertools.chain(["digraph dominance {"], (f'  "{triple_text(t)}";' for t in nodes),
+                              (f'  "{parent}" -> "{child}";' for parent, child in dominance_edges(nodes)),
+                              ["}"])
+
+
+def _write(lines) -> None:
+    """Write each line and a newline to stdout, ``_BATCH_LINES`` lines to a write, encoded as
+    the stream encodes; the bytes go to the buffer until it takes them all: an unbuffered
+    one may take part of a write."""
+    out, lines = sys.stdout.buffer, iter(lines)
+    for batch in iter(lambda: list(itertools.islice(lines, _BATCH_LINES)), []):
+        data = memoryview(("\n".join(batch) + "\n").encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[out.write(data):]
 
 
 # -- wiring ----------------------------------------------------------------
@@ -246,7 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        code = args.func(cfg, args)
+        code, lines = args.func(cfg, args)
+        _write(lines)
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except BrokenPipeError:

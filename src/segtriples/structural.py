@@ -128,8 +128,9 @@ class GSpinTerm:
     def __hash__(self):
         return self._hash
 
-    def __str__(self):
-        return " |x ".join([*map(str, self.gl_terms), self.base])
+    def __str__(self, gl_text=str):
+        """The stack's GL terms, each written by ``gl_text``, then the base, joined by " |x "."""
+        return " |x ".join([*map(gl_text, self.gl_terms), self.base])
 
     def __repr__(self):
         return f"GSpinTerm({list(self.gl_terms)!r}, {self.base!r})"

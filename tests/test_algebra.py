@@ -320,6 +320,9 @@ def test_sum_product_respects_grades():
     assert (tensor * tensor).coefficient((t * t, t * t)) == 1
     with pytest.raises(GradeError):
         plain * tensor
+    tower = FormalSum.of((t, GSpinTerm.cuspidal("c0")))
+    with pytest.raises(GradeError, match="^no product is defined on the induced leg$"):
+        tower * tower
 
 
 def test_render_term():

@@ -133,6 +133,8 @@ def test_chain_violations_flag_bad_steps():
     assert any("parity" in p for p in probs)
     probs = chain_violations(ReductionChain(base, (ChainStep(r, 1.0, 3, PLUS),)))
     assert any("block 1.0 is not an integer" in p for p in probs)
+    probs = chain_violations(ReductionChain(base, (ChainStep("r", 1, 3, PLUS),)))
+    assert probs == ["step 0: not a cuspidal symbol"]
 
 
 def test_chain_violations_reject_bool_endpoints():
@@ -368,6 +370,8 @@ def test_parse_chain_rejects_malformed_records():
         parse_chain("base={cusp=c0 ; jord= ; single= ; pair=", C0, SYMBOLS)
     with pytest.raises(ValueError, match="missing steps section"):
         parse_chain("base={cusp=c0 ; jord= ; single= ; pair=}", C0, SYMBOLS)
+    with pytest.raises(ValueError, match="^missing steps section$"):
+        parse_chain("base={cusp=c0 ; jord= ; single= ; pair=} ; nosteps=", C0, SYMBOLS)
     with pytest.raises(ValueError):
         parse_chain("base={cusp=c0 ; jord= ; single= ; pair=} ; "
                     "steps= zz:1:3:+", C0, SYMBOLS)
@@ -499,6 +503,24 @@ def test_enumeration_skips_the_sizes_with_no_admitted_end(monkeypatch):
         for rho, groups in window(*args).items()})
     assert len(enumerate_admissible(C0, [r], max_a=9)) == 1 + 10 * 2 + 5 * 6
     assert sorted(read) == [0] + [2] * 10 + [4] * 5
+
+
+def test_listed_sets_build_each_size_s_words_once(monkeypatch):
+    # five listed sets at q of two sizes, one set twice: the row builder reads the admitted
+    # ends of each size once, and the set listed twice gives its triples twice
+    listed = [[2, 4], [6, 8, 10], [4, 6], [2, 4], [2, 6, 8]]
+    alone = sorted(triple_text(t) for blocks in listed
+                   for t in enumerate_admissible(C0, [q], jord_sets={"q": [blocks]}))
+    sizes, ends = [], segtriples.triples._admitted_ends
+
+    def counted(cusp, rho, n):
+        sizes.append(n)
+        return ends(cusp, rho, n)
+
+    monkeypatch.setattr(segtriples.triples, "_admitted_ends", counted)
+    got = [triple_text(t) for t in enumerate_admissible(C0, [q], jord_sets={"q": listed})]
+    assert sorted(sizes) == [2, 3]
+    assert got == alone and len(got) == 3 * 2 + 2 * 3
 
 
 def test_enumeration_leaves_no_young_pass_owed():

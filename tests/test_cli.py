@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import segtriples
-from segtriples import cli
+from segtriples import GSpinTerm, cli, expand_induced, induce, render_term
+from segtriples.config import load_config, parse_segment_spec
 
 from helpers import run_cli
 
@@ -37,6 +38,18 @@ OVERSIZED = {
     "supports": [{"id": "c0"}],
     "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 17},
 }
+# 13,536 admissible triples, 2.0 MB of text
+WINDOW_11 = {**OVERSIZED, "bounds": {**OVERSIZED["bounds"], "max_a": 11}}
+
+
+def config_argv(argv, tmp_path):
+    """argv with each dict in it, which stands for a config file holding it as JSON, so written."""
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    return [str(config) if isinstance(a, dict) else a for a in argv]
+
 
 GOLDEN_RUNS = [
     ("mu_rho.txt", 0,
@@ -149,12 +162,7 @@ def test_triple_text_source_matches_named_source(command, name, text, head):
      "error: not a half-integer literal: '4/2'\n"),
 ])
 def test_usage_errors_exit_2(argv, fragment, tmp_path):
-    # a dict in argv stands for a config file holding it as JSON
-    config = tmp_path / "config.json"
-    for arg in argv:
-        if isinstance(arg, dict):
-            config.write_text(json.dumps(arg))
-    code, out, err = run_cli([str(config) if isinstance(a, dict) else a for a in argv])
+    code, out, err = run_cli(config_argv(argv, tmp_path))
     assert code == 2
     assert fragment in err
     assert out == ""
@@ -255,20 +263,38 @@ def test_module_entry_point_runs_as_subprocess():
     assert proc.stdout == (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
-    # depth 4 prints 16,920 lines, far more than a pipe holds unread; an
-    # unbuffered stdout may take only part of a write before the pipe closes
+TOWER_4 = ["mu-star", "--config", BASE, "--sigma", "c0"] + ["--seg", "r:[-1,2]"] * 4
+# each far more than a pipe holds unread: the tower prints 16,920 lines
+CLOSED_PIPE_RUNS = [
+    (TOWER_4, b"1 (x) d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x c0\n"),
+    (["enumerate", "--config", WINDOW_11], b"cusp=c0 ; jord= ; single= ; pair=\n"),
+]
+
+
+@pytest.mark.parametrize("argv,first,unbuffered",
+                         [(*run, unbuffered) for run in CLOSED_PIPE_RUNS for unbuffered in (None, "1")],
+                         ids=["buffered", "unbuffered", "enumerate-buffered", "enumerate-unbuffered"])
+def test_a_closed_stdout_ends_without_a_traceback(argv, first, unbuffered, tmp_path):
+    # an unbuffered stdout may take only part of a write before the pipe closes
     src = str(Path(segtriples.__file__).parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered is not None:
         env["PYTHONUNBUFFERED"] = unbuffered
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "segtriples", "mu-star", "--config", BASE, "--sigma", "c0"]
-        + ["--seg", "r:[-1,2]"] * 4,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
-    assert proc.stdout.readline() == b"1 (x) d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x d([-1,2],r) |x c0\n"
+    proc = subprocess.Popen([sys.executable, "-m", "segtriples", *config_argv(argv, tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src})
+    assert proc.stdout.readline() == first
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (cli.EXIT_PIPE_CLOSED, b"") == (141, b"")
+
+
+def test_mu_star_writes_each_term_as_render_term_does():
+    cfg = load_config(BASE)
+    table, obj = cfg.expansion_table(), GSpinTerm.cuspidal("c0")
+    seg = parse_segment_spec("r:[-1,2]", cfg.symbols)
+    for _ in range(4):
+        expansion, obj = expand_induced(seg, obj, table), induce(seg, obj)
+    code, out, err = run_cli(TOWER_4)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [render_term(t, c) for t, c in expansion.terms]

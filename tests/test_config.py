@@ -131,6 +131,18 @@ def test_expansion_rows_must_target_stacked_objects(tmp_path):
         load_config(write(tmp_path, data))
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"object": {"segments": ["r:[0,1/2]"], "base": "c0"}, "terms": []},
+     r"^expansions\[0\]: segment endpoints must differ by an integer: a=0, b=1/2$"),
+    ({"object": {"segments": ["r:[0,0]"], "base": "c0"},
+      "terms": [{"gl": ["x:[0,0]"], "object": {"segments": [], "base": "c0"}}]},
+     r"^expansions\[0\]\.terms\[0\]: unknown symbol 'x'$"),
+], ids=["tower segment", "term segment"])
+def test_expansion_rows_name_a_bad_segment(tmp_path, row, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write(tmp_path, dict(MINIMAL, expansions=[row])))
+
+
 def test_expansion_rows_reject_bad_coefficients(tmp_path):
     data = dict(MINIMAL, expansions=[{
         "object": {"segments": ["r:[0,0]"], "base": "c0"},

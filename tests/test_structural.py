@@ -63,6 +63,8 @@ def test_gspin_term_shape():
         GSpinTerm((GLTerm.unit(),), "c0")
     with pytest.raises(ValueError):
         GSpinTerm((), "")
+    with pytest.raises(TypeError, match="^gl_terms must contain GLTerm objects$"):
+        GSpinTerm([Segment(r, 0, 0)], "c0")
 
 
 def test_induce_drops_the_unit():

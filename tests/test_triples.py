@@ -12,10 +12,12 @@ from segtriples import (
     PLUS,
     CuspidalSupport,
     CuspidalSymbol,
+    EmbeddingDatum,
     GapError,
     InvalidTripleError,
     JordanTriple,
     NotAdmissibleError,
+    Segment,
     canonical_chain,
     chain_text,
     dominates,
@@ -57,6 +59,8 @@ def test_support_stores_blocks_per_symbol():
         CuspidalSupport("x", {r: {2}})  # wrong parity
     with pytest.raises(ValueError):
         CuspidalSupport("x", {r: {0}})
+    with pytest.raises(TypeError, match="^support keys must be CuspidalSymbol objects$"):
+        CuspidalSupport("c", {"r": [1]})
 
 
 @pytest.mark.parametrize("ch", [" ", "\t", "\n", "\u2003", ";", "{", "}"], ids=repr)
@@ -381,9 +385,11 @@ def test_reduce_at_guards():
     lambda t: reduce_at(t, "r", 1, 3),
     lambda t: linking_sign(t, "r", 1, 3),
     lambda t: dominating_extensions(JordanTriple(C0), 1, 3, "r"),
-], ids=["reduce_at", "linking_sign", "dominating_extensions"])
+    lambda t: Segment("r", 0, 0),
+    lambda t: EmbeddingDatum("r", 1, 0),
+], ids=["reduce_at", "linking_sign", "dominating_extensions", "Segment", "EmbeddingDatum"])
 def test_entry_points_refuse_a_symbol_id(call):
-    with pytest.raises(TypeError, match="rho must be a CuspidalSymbol"):
+    with pytest.raises(TypeError, match="^rho must be a CuspidalSymbol$"):
         call(odd_triple(C0, [1, 3], {1: PLUS, 3: PLUS}))
 
 
@@ -719,6 +725,8 @@ def test_an_integer_field_has_one_spelling(cusp, jord, singles, pairs, chain, of
 def test_parse_triple_rejects_malformed_records():
     with pytest.raises(ValueError):
         parse_triple("cusp=c0 ; jord=", C0, SYMBOLS)
+    with pytest.raises(ValueError, match="^expected section 'jord='$"):
+        parse_triple("cusp=c0 ; jrd= ; single= ; pair=", C0, SYMBOLS)
     with pytest.raises(ValueError):
         parse_triple("cusp=cX ; jord= ; single= ; pair=", C0, SYMBOLS)
     with pytest.raises(ValueError):
