@@ -18,9 +18,9 @@ The public constructors check what they are given, then build through
 their class's ``_trusted`` builder, the one place each value fills its
 slots and hashes its key.  The builders, behind GL products, ``comult``
 and the tower, take values a caller has built valid and neither sort nor
-check: a product merges its factors' sorted key tuples, and ``_placed``
-joins the one or two segments of a tower's shed term to each product's
-run, or inserts them by binary search.
+check.  One merge builds every GL product: ``_placed`` joins a factor of
+one or two segments to the other factor's key-sorted run, or inserts
+them by binary search, for ``*`` and for every row of the tower alike.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class GLTerm:
     of their keys; it decides equality, hash and canonical order, and
     its hash is computed once, when the term is built.  The empty
     multiset is the unit of the Grothendieck-group product.  A product
-    merges the factors' sorted keys instead of sorting again.  Terms
+    places a factor of at most two segments by ``_placed``.  Terms
     are frozen; the constructor checks and sorts, and fills through ``_trusted``.
     """
 
@@ -236,12 +236,10 @@ class GLTerm:
     def __mul__(self, other):
         if not isinstance(other, GLTerm):
             return NotImplemented
-        if not other.segments:
-            return self
-        if not self.segments:
-            return other
-        return GLTerm._trusted(*_merge_sorted(self.segments, self.key,
-                                              other.segments, other.key))
+        shed, tau = (other, self) if len(other.segments) <= len(self.segments) else (self, other)
+        if len(shed.segments) > 2:
+            return GLTerm(self.segments + other.segments)
+        return _placed(shed, (tau,))[0]
 
     def __eq__(self, other):
         if not isinstance(other, GLTerm):
@@ -266,34 +264,13 @@ _set_gl_key = GLTerm.key.__set__
 _set_gl_hash = GLTerm._hash.__set__
 
 
-def _merge_sorted(segs, keys, more_segs, more_keys):
-    """Merge two nonempty key-sorted runs of segments, given with their
-    key tuples, into one (segments, keys) pair.  Runs that do not
-    overlap are joined; otherwise the shorter run is inserted into the
-    longer one by binary search."""
-    if keys[-1] <= more_keys[0]:
-        return segs + more_segs, keys + more_keys
-    if more_keys[-1] <= keys[0]:
-        return more_segs + segs, more_keys + keys
-    if len(more_keys) > len(keys):
-        segs, keys, more_segs, more_keys = more_segs, more_keys, segs, keys
-    segs, keys = list(segs), list(keys)
-    at = 0
-    for s, k in zip(more_segs, more_keys):
-        at = bisect_right(keys, k, at)
-        keys.insert(at, k)
-        segs.insert(at, s)
-        at += 1
-    return tuple(segs), tuple(keys)
-
-
 def _placed(shed: GLTerm, taus) -> list:
     """The products ``shed * tau`` for each GL term tau of taus, in order,
     where shed has at most two segments: a shed that lies after or before
     all of tau's run is joined to it, and otherwise each segment is placed
     into the run at its ``bisect_right`` position, found in tau's keys, so
-    nothing is merged, sorted or checked.  As for ``*``, a unit factor
-    gives the other one itself."""
+    nothing is merged, sorted or checked.  ``*`` places its shorter factor
+    here too; for both, a unit factor gives the other one itself."""
     if not shed.segments:
         return list(taus)
     trusted, out = GLTerm._trusted, []

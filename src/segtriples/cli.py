@@ -4,7 +4,7 @@ Every subcommand takes --config pointing at a JSON run configuration
 (see config.py) and prints deterministic plain text, so outputs can be
 diffed across runs.  Each ``_cmd_*`` returns its exit status and its
 lines, lazily where the output grows with the input; ``_write`` alone
-writes them, in batches of ``_BATCH_LINES`` lines, to stdout's buffer.
+writes them to stdout, in batches of ``_BATCH_LINES`` lines.
 Exit status: 0 on success, 1 on a domain error (invalid triple,
 inadmissible input, precondition failure), 2 on a usage or config error
 (bad flags, unknown names, malformed specs, oversized input), and 141
@@ -165,12 +165,16 @@ def _cmd_dominance_dag(cfg: RunConfig, args):
 
 
 def _write(lines) -> None:
-    """Write each line and a newline to stdout, ``_BATCH_LINES`` lines to a write, encoded as
-    the stream encodes; the bytes go to the buffer until it takes them all: an unbuffered
-    one may take part of a write."""
-    out, lines = sys.stdout.buffer, iter(lines)
+    """Write each line and a newline to stdout, ``_BATCH_LINES`` lines to a write: as bytes in
+    the stream's encoding to its buffer until it takes them all (an unbuffered one may take
+    part of a write), or as text to a stream with no buffer, such as ``io.StringIO``."""
+    out, lines = getattr(sys.stdout, "buffer", None), iter(lines)
     for batch in iter(lambda: list(itertools.islice(lines, _BATCH_LINES)), []):
-        data = memoryview(("\n".join(batch) + "\n").encode(sys.stdout.encoding, sys.stdout.errors))
+        text = "\n".join(batch) + "\n"
+        if out is None:
+            sys.stdout.write(text)
+            continue
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
         while data:
             data = data[out.write(data):]
 

@@ -14,13 +14,12 @@ are valid and the construction makes valid terms, so ``expand_induced``
 checks only the unit-left rule and ``induce`` only its top, and both
 build through the trusted builders.  A row of ``expand_induced`` costs
 one product, one key and one store: a shed term has at most two
-segments, so ``algebra._placed`` joins them to tau's key-sorted run, or
-puts them into it at their ``bisect_right`` positions, instead of merging
-two runs; the kept segment goes on each base leg in one
-``GSpinTerm._trusted`` call; a row
-of a pair i < j is stored unseen, since no other row can equal it; and a
-row of a pair i = j is hashed once, by ``setdefault``, unless it meets
-an earlier row.
+segments, so ``algebra._placed``, the one merge behind every GL product,
+joins them to tau's key-sorted run or puts them into it at their
+``bisect_right`` positions; the kept segment goes on each base leg in
+one ``GSpinTerm._trusted`` call; a row of a pair i < j is stored unseen,
+since no other row can equal it; and a row of a pair i = j is hashed
+once, by ``setdefault``, unless it meets an earlier row.
 
 ``expand_induced``, ``flatten_sum`` and ``classify.enumerate_admissible``
 pause the cyclic garbage collector, process-wide for the length of the

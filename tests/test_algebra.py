@@ -30,6 +30,7 @@ from segtriples import (
     triple_text,
     validate_triple,
 )
+from segtriples.algebra import _placed
 from segtriples.halfint import _half_text
 from helpers import coassoc_sides
 
@@ -173,10 +174,10 @@ def test_glterm_product_and_degree():
 
 
 @st.composite
-def gl_terms(draw):
-    """Products of 0-4 segments over two symbols; repeats allowed."""
+def gl_terms(draw, max_segments=4):
+    """Products of 0-max_segments segments over two symbols; repeats allowed."""
     segs = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_segments))):
         rho = draw(st.sampled_from([r, q]))
         a = HalfInt.from_twice(2 * draw(st.integers(-2, 2)) + (0 if rho is r else 1))
         segs.append(Segment(rho, a, a + draw(st.integers(0, 2))))
@@ -194,6 +195,30 @@ def test_glterm_product_merges_like_the_public_constructor(a, b):
     assert a * unit == a == unit * a
     if not a.is_unit:
         assert a * unit is a and unit * a is a
+
+
+@given(gl_terms(max_segments=2), st.lists(gl_terms(), max_size=3))
+def test_placed_builds_each_product_as_the_public_constructor_does(shed, drawn):
+    # the constructor's sort is the oracle for the one merge behind every GL product;
+    # besides the unit and the shed itself (repeated keys), each drawn run comes with
+    # its parts lying before and after the shed, and goes across it whole
+    unit = GLTerm.unit()
+    taus = [unit, shed]
+    for tau in drawn:
+        if shed.segments:
+            taus.append(GLTerm([s for s in tau.segments if s.key <= shed.key[0]]))
+            taus.append(GLTerm([s for s in tau.segments if s.key >= shed.key[-1]]))
+        taus.append(tau)
+    got = _placed(shed, taus)
+    want = [GLTerm(shed.segments + tau.segments) for tau in taus]
+    assert [t.segments for t in got] == [t.segments for t in want]
+    assert [(t.key, hash(t)) for t in got] == [(t.key, hash(t.key)) for t in want]
+    assert [a * b for a in taus for b in taus] == [GLTerm(a.segments + b.segments) for a in taus for b in taus]
+    # a unit factor gives the other one itself
+    assert all(prod is tau for prod, tau in zip(_placed(unit, taus), taus))
+    assert all(unit * tau is tau and tau * unit is tau for tau in taus if tau.segments)
+    if shed.segments:
+        assert _placed(shed, [unit])[0] is shed
 
 
 def test_values_are_frozen():

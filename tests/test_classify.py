@@ -529,10 +529,17 @@ def test_enumeration_leaves_no_young_pass_owed():
     assert passes == 0 and len(found) == 1785
 
 
-def test_enumeration_results_are_admissible_and_sorted():
-    got = enumerate_admissible(C0, [r, q], max_a=4)
+# ids for the odd and even symbols; "0", "1" and "!b" sort below ";" in ASCII, so the text
+# " 0:1 ; single=" sorts after " 0:1 1:1 ; single=", and "r" is a prefix of "r2"
+@pytest.mark.parametrize("ids", [("r", "q"), ("0", "1"), ("a", "!b"), ("r", "r2")], ids="/".join)
+@pytest.mark.parametrize("blocks,count", [(False, 247), (True, 208)], ids=["no-blocks", "block-1"])
+def test_enumeration_results_are_admissible_and_sorted(ids, blocks, count):
+    odd, even = CuspidalSymbol(ids[0], 1, ODD), CuspidalSymbol(ids[1], 2, EVEN)
+    # block 1 at the odd symbol takes its singles away
+    cusp = CuspidalSupport("c1", {odd: {1}}) if blocks else CuspidalSupport("c0")
+    got = enumerate_admissible(cusp, [odd, even], max_a=7)
     texts = [triple_text(t) for t in got]
-    assert texts == sorted(texts)
+    assert texts == sorted(texts) and len(texts) == count
     assert all(is_admissible(t) is not None for t in got)
 
 

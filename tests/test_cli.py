@@ -4,6 +4,8 @@ Every fixture command is pinned to a golden file; the suite also checks
 exit codes and byte determinism across repeated runs.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -298,3 +300,14 @@ def test_mu_star_writes_each_term_as_render_term_does():
     code, out, err = run_cli(TOWER_4)
     assert (code, err) == (0, "")
     assert out.splitlines() == [render_term(t, c) for t, c in expansion.terms]
+
+
+def test_a_stdout_with_no_buffer_takes_the_text():
+    # an in-process caller may hand main a text stream with no bytes under it;
+    # the tower's 16,920 lines take 17 batches
+    golden = (GOLDEN / "enumerate_base.txt").read_text(encoding="utf-8")
+    for argv, want in [(["enumerate", "--config", BASE], golden), (TOWER_4, run_cli(TOWER_4)[1])]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert (code, out.getvalue()) == (0, want)

@@ -255,21 +255,24 @@ def _multiplicative_mu_star(segs, base_rows):
     return FormalSum(out)
 
 
-def test_deep_tower_is_the_product_of_its_depth_one_rows():
+@pytest.mark.parametrize("depth,sizes", [(4, (16920, 50625, 3060)), (5, (169326, 759375, 11628))],
+                         ids=["4", "5"])
+def test_deep_tower_is_the_product_of_its_depth_one_rows(depth, sizes):
+    # depth 5 is the deepest tower of r:[-1,2] that MAX_ROWS lets expand
     seg = Segment(r, -1, 2)
     table = ExpansionTable()
     cur = table.add_cuspidal("c0")
-    for _ in range(4):
+    for _ in range(depth):
         out = expand_induced(seg, cur, table)
         cur = induce(seg, cur)
     flat = flatten_sum(out)
-    assert (len(out), out.total, len(flat)) == (16920, 50625, 3060)
-    # every multiset of four depth-1 rows, weighted by its multinomial
+    assert (len(out), out.total, len(flat)) == sizes
+    # every multiset of `depth` depth-1 rows, weighted by its multinomial
     rows = _depth_one_rows(seg)
-    assert len(rows) == 15 and all(c == 1 for _, c in rows)
+    assert len(rows) == 15 and all(c == 1 for _, c in rows) and out.total == 15 ** depth
     want = {}
-    for picks in itertools.combinations_with_replacement(range(len(rows)), 4):
-        weight = math.factorial(4)
+    for picks in itertools.combinations_with_replacement(range(len(rows)), depth):
+        weight = math.factorial(depth)
         for n in Counter(picks).values():
             weight //= math.factorial(n)
         left, legs = GLTerm.unit(), []
@@ -278,7 +281,7 @@ def test_deep_tower_is_the_product_of_its_depth_one_rows():
             legs.extend(leg.gl_terms)
         key = (left, _flat_leg(legs, "c0"))
         want[key] = want.get(key, 0) + weight
-    assert len(want) == math.comb(18, 4) == 3060
+    assert len(want) == math.comb(14 + depth, depth) == sizes[2]
     assert flat == FormalSum(want)
     unit = GLTerm.unit()
     assert [(t, c) for t, c in out if t[0].is_unit] == [((unit, cur), 1)]
