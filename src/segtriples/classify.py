@@ -14,8 +14,8 @@ extension work happens.  A ``ChainStep`` is a named tuple of its
 fields, as ``triples._Record`` sets out; a ``ReductionChain`` is a
 frozen slotted value with a validity mark.  Realizing a chain is
 ``triples._grown`` over its base, the rule that grows every triple.  An
-enumeration takes each symbol's admitted rows and their texts from one
-``triples._admitted`` call over the symbol's size groups of ``_window``.
+enumeration is built in text order, with no sort, by ``_in_text_order``
+from one ``triples._admitted`` call per symbol; the CLI reads it too.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from operator import attrgetter
+from operator import itemgetter
 
 from .algebra import EVEN, CuspidalSymbol, SizeLimitError, _immutable
 from .structural import _collector_paused
@@ -36,7 +36,6 @@ from .triples import (
     _checked,
     _grown,
     _item,
-    _line,
     _new,
     _pair_error,
     _peels,
@@ -45,6 +44,7 @@ from .triples import (
     _text_items,
     is_alternated,
     parse_triple,
+    singles_defined,
     subordinate_reductions,
     triple_text,
     validate_triple,
@@ -265,30 +265,47 @@ def enumerate_admissible(cusp: CuspidalSupport, symbols, max_a=None,
     symbol has neither a ``max_a`` nor a ``jord_sets`` entry, or the
     window holds over ``MAX_TRIPLES`` triples (``SizeLimitError``, counted first),
     and TypeError, before any is read, when a symbol is no CuspidalSymbol or cusp no CuspidalSupport.
-    Each triple keeps its text, joined by ``_line`` from items ``_admitted`` writes once per
-    block set over each symbol's size groups, and the result is sorted by it; a window of
-    one symbol shares each row map it admits as the triple's rows; the build
-    pauses the cyclic collector: its rows, texts and triples are acyclic, so it could free none,
-    and on the way out it moves them, with every other tracked object, to the oldest
-    generation, as ``structural`` sets out, so no young pass walks them after the call.
+    ``_in_text_order`` builds them in that order, keeping no text; a one-symbol window shares each row
+    map it admits as the triple's rows.  The build pauses the cyclic collector: its rows and triples
+    are acyclic, so it could free none, and on the way out it moves them, with every other tracked
+    object, to the oldest generation (see ``structural``), so no young pass walks them after the call.
     """
+    with _collector_paused():
+        return [JordanTriple._of_rows(cusp, _merged(maps))
+                for maps in _in_text_order(cusp, _row_maps, symbols, max_a, max_jord, jord_sets)]
+
+
+def _row_maps(cusp, rho, jord, blocks, words):
+    """The row map at rho of each word on the blocks, lazily; none for no blocks."""
+    return ({rho: (blocks, word)} if blocks else {} for word in words)
+
+
+def _in_text_order(cusp, values, symbols, max_a, max_jord, jord_sets):
+    """The window's admissible triples in the order of their text, each as its symbols' values in id
+    order, ``values(cusp, rho, jord, blocks, words)`` giving one per word of a ``triples._admitted``
+    block set, made once.  Combinations of block sets sort by jord text and ``" ; single="`` (an id
+    may sort below ";"), stably: a set listed k times gives each triple k times in turn.  Each one's
+    triples are the product of its words: symbols with singles most significant, then the rest, by id."""
     window = _window(symbols, max_a, max_jord, jord_sets)
     if (size := _window_size(cusp, window)) > MAX_TRIPLES:
         raise SizeLimitError(f"the window holds {size} admissible triples, over the limit of {MAX_TRIPLES}")
-    if not size:
-        return []
-    with _collector_paused():
-        per_symbol = [_admitted(cusp, rho, groups) for rho, groups in window.items()]
-        found = [JordanTriple._of_rows(cusp, _merged(combo), _line(cusp, parts))
-                 for combo, parts in zip(itertools.product(*(rows for rows, _ in per_symbol)),
-                                         itertools.product(*(items for _, items in per_symbol)))]
-        found.sort(key=attrgetter("_text"))
-    return found
+    lead = sorted(range(len(window)), key=[not singles_defined(cusp, rho) for rho in window].__getitem__)
+    back = itemgetter(*map(lead.index, range(len(lead)))) if lead != sorted(lead) else None
+    kept = iter if len(lead) == 1 else list  # one symbol reads each block set's values once
+    per_symbol = [[(entry[0], kept(values(cusp, rho, *entry))) for entry in _admitted(cusp, rho, groups)]
+                  for rho, groups in window.items()] if size else [[]]  # no combination when none is admitted
+    by_jord = lambda combo: "".join(map(itemgetter(0), combo)) + " ; single="  # noqa: E731
+    for _, (combo, *copies) in itertools.groupby(sorted(itertools.product(*per_symbol), key=by_jord), by_jord):
+        factors = [combo[i][1] for i in lead]
+        found = zip(*factors) if len(factors) == 1 else itertools.product(*factors)
+        found = map(back, found) if back else found
+        if copies:  # each triple once per copy, in turn: t1, t1, t2, t2 as a stable sort leaves them
+            found = itertools.chain.from_iterable(zip(*itertools.tee(found, 1 + len(copies))))
+        yield from found
 
 
 def _merged(maps) -> dict:
-    """One dict of the row maps, whose symbols differ: the one map itself, shared as ``_of_rows``
-    shares rows, else a new dict, whose ``update`` reuses their stored hashes."""
+    """The row maps, whose symbols differ, in one dict: the one map itself, shared, else a new one."""
     if len(maps) == 1:
         return maps[0]
     out = {}
@@ -307,12 +324,13 @@ def count_by_jord(cusp: CuspidalSupport, jord) -> int:
 
 
 def dominance_edges(triples) -> list:
-    """One-step subordination edges among any iterable of triples, read once.
+    """The sorted one-step subordination edges ``(parent_text, child_text)`` among any iterable
+    of triples, read once; the caller decides whether the node set is closed under reduction."""
+    return _edges({t: triple_text(t) for t in triples})
 
-    Returns sorted (parent_text, child_text) pairs; the caller decides
-    whether the node set is closed under reduction.
-    """
-    texts = {t: triple_text(t) for t in triples}
+
+def _edges(texts) -> list:
+    """The edges of ``dominance_edges`` among the keys of texts, each triple's text its value."""
     return sorted({(text, child) for t, text in texts.items()
                    for red in subordinate_reductions(t) if (child := texts.get(red.result)) is not None})
 

@@ -4,7 +4,9 @@ Every subcommand takes --config pointing at a JSON run configuration
 (see config.py) and prints deterministic plain text, so outputs can be
 diffed across runs.  Each ``_cmd_*`` returns its exit status and its
 lines, lazily where the output grows with the input; ``_write`` alone
-writes them to stdout, in batches of ``_BATCH_LINES`` lines.
+writes them to stdout, in batches of ``_BATCH_LINES`` lines.  ``enumerate``
+and ``dominance-dag`` join each triple's line once from the items of the
+stream ``classify._in_text_order`` builds; ``enumerate`` builds no triple.
 Exit status: 0 on success, 1 on a domain error (invalid triple,
 inadmissible input, precondition failure), 2 on a usage or config error
 (bad flags, unknown names, malformed specs, oversized input), and 141
@@ -22,23 +24,13 @@ import os
 import sys
 
 from .algebra import EVEN, ODD, CuspidalSymbol, SizeLimitError, render_term
-from .classify import (
-    canonical_chain,
-    chain_text,
-    dominance_edges,
-    enumerate_admissible,
-)
+from .classify import _edges, _in_text_order, _merged, _row_maps, canonical_chain, chain_text
 from .config import ConfigError, RunConfig, load_config, parse_segment_spec
 from .halfint import HalfInt, _parse_int
 from .lcalc import EmbeddingDatum, jord_update
-from .structural import GSpinTerm, expand_induced, induce
-from .triples import (
-    NotAdmissibleError,
-    _parse_triple_record,
-    subordinate_reductions,
-    triple_text,
-    validate_triple,
-)
+from .structural import GSpinTerm, _collector_paused, expand_induced, induce
+from .triples import (JordanTriple, NotAdmissibleError, _line, _parse_triple_record, _written,
+                      subordinate_reductions, triple_text, validate_triple)
 
 
 EXIT_PIPE_CLOSED = 141
@@ -108,16 +100,18 @@ def _cmd_mu_star(cfg: RunConfig, args):
     return 0, (render_term((gl_text(gl), leg_text(leg)), coeff) for (gl, leg), coeff in expansion.terms)
 
 
-def _enumerate(cfg: RunConfig) -> list:
+def _enumerate(cfg: RunConfig, values):
+    """The config's support, and its window's triples with ``values``, from ``classify._in_text_order``."""
     if cfg.bounds is None:
         raise ConfigError("this command needs a bounds section in the config")
-    return enumerate_admissible(cfg.supports[cfg.bounds["support"]],
-                                [cfg.symbols[n] for n in cfg.bounds["symbols"]],
+    cusp = cfg.supports[cfg.bounds["support"]]
+    return cusp, _in_text_order(cusp, values, [cfg.symbols[n] for n in cfg.bounds["symbols"]],
                                 cfg.bounds["max_a"], cfg.bounds["max_jord"], cfg.bounds["jord_sets"])
 
 
 def _cmd_enumerate(cfg: RunConfig, args):
-    return 0, map(triple_text, _enumerate(cfg))
+    cusp, found = _enumerate(cfg, _written)
+    return 0, (_line(cusp, parts) for parts in found)
 
 
 def _cmd_check(cfg: RunConfig, args):
@@ -158,10 +152,13 @@ def _cmd_jord_update(cfg: RunConfig, args):
 
 
 def _cmd_dominance_dag(cfg: RunConfig, args):
-    nodes = _enumerate(cfg)
-    return 0, itertools.chain(["digraph dominance {"], (f'  "{triple_text(t)}";' for t in nodes),
-                              (f'  "{parent}" -> "{child}";' for parent, child in dominance_edges(nodes)),
-                              ["}"])
+    cusp, found = _enumerate(cfg, lambda *entry: zip(_row_maps(*entry), _written(*entry)))
+    texts, lines = {}, []
+    with _collector_paused():
+        for maps, parts in (zip(*values) for values in found):
+            lines.append(texts.setdefault(JordanTriple._of_rows(cusp, _merged(maps)), _line(cusp, parts)))
+    return 0, itertools.chain(["digraph dominance {"], (f'  "{text}";' for text in lines),
+                              (f'  "{parent}" -> "{child}";' for parent, child in _edges(texts)), ["}"])
 
 
 def _write(lines) -> None:
@@ -202,25 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list admissible triples within the config's bounds")
     p.set_defaults(func=_cmd_enumerate)
 
-    def triple_source(p):
+    for name, func, what in (("check", _cmd_check, "validate a triple and report admissibility"),
+                             ("reduce", _cmd_reduce, "list the one-step subordinations of a triple"),
+                             ("chain", _cmd_chain, "print the canonical reduction chain of a triple")):
+        p = sub.add_parser(name, parents=[common], help=what)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--triple", help="name of a triple from the config")
         group.add_argument("--text", help="triple in canonical text form")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a triple and report admissibility")
-    triple_source(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="list the one-step subordinations of a triple")
-    triple_source(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("chain", parents=[common],
-                       help="print the canonical reduction chain of a triple")
-    triple_source(p)
-    p.set_defaults(func=_cmd_chain)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("jord-update", parents=[common],
                        help="update a Jordan block set from an embedding datum")

@@ -38,15 +38,16 @@ each run of blocks of t that u lacks reduces to the empty word.
 The walk end decides admission: a symbol's peel refuses by one sum a
 row whose walk misses the ends of ``_admitted_ends``, and runs its
 stack only on admitted rows, keeping the survivors as a signed row, or
-the row itself when it removes nothing.  ``_admitted`` builds those
-rows and their text from the ends, peeling none.  ``_grown`` is the one
-rule that grows a word: a chain's steps in turn, or an extension's one.
+the row itself when it removes nothing.  ``_admitted`` builds the words
+each size admits from the ends, peeling none, in text order.  ``_grown``
+is the one rule that grows a word: a chain's steps, or an extension's.
 
 The records ``Reduction`` and ``AlternatedWitness`` (and
 ``classify.ChainStep``) are named tuples of their fields (``_Record``).
 Every text item, a chain's steps included, is written by ``_item`` (a
-row's through ``_row_items``, an enumerated block set's once in
-``_admitted``) and read back by ``_text_items``; ``_line`` joins.
+row's through ``_row_items``, an enumerated block set's once by
+``_written``), read back by ``_text_items`` and joined by ``_line``;
+only a triple built from invalid input keeps its text.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ class JordanTriple:
     its violations and its text, which only ``validate_triple``,
     ``require_valid``, ``str``, ``repr``, equality and hashing read;
     other readers raise ``InvalidTripleError``.  ``_of_rows`` shares
-    rows the library made valid; an enumerated triple also keeps its
-    text for ``triple_text``.  Equality and hash read one key, and the
-    hash is computed on first use."""
+    rows the library made valid, and fills only ``cusp`` and ``rows``:
+    ``triple_text`` writes a valid triple's text afresh.  Equality and
+    hash read one key, and the hash is computed on first use."""
 
     __slots__ = ("cusp", "rows", "_text", "_problems", "_hash")
     __setattr__ = __delattr__ = _immutable
@@ -184,19 +185,18 @@ class JordanTriple:
         found.sort(key=lambda kv: kv[0])
         _set_cusp(self, cusp)
         _set_rows(self, None if found else rows)
-        _set_text(self, _line(cusp, [  # invalid input keeps its text: its items as given, in order
-            _row_items(rho, blocks, sorted(singles.items()), sorted(signs.items()))
-            for rho, blocks, singles, signs in parts]) if found else None)
+        if found:  # invalid input keeps its text: its items as given, in order
+            JordanTriple._text.__set__(self, _line(cusp, [
+                _row_items(rho, blocks, sorted(singles.items()), sorted(signs.items()))
+                for rho, blocks, singles, signs in parts]))
         JordanTriple._problems.__set__(self, tuple(message for _, message in found))
 
     @classmethod
-    def _of_rows(cls, cusp, rows, text=None):
-        """A triple over rows already canonical and valid, shared, not
-        copied; it keeps ``text`` as their canonical text."""
+    def _of_rows(cls, cusp, rows):
+        """A triple over rows already canonical and valid, shared, not copied."""
         t = object.__new__(cls)
         _set_cusp(t, cusp)
         _set_rows(t, rows)
-        _set_text(t, text)
         return t
 
     # -- accessors ---------------------------------------------------
@@ -275,7 +275,6 @@ class JordanTriple:
 make_triple = JordanTriple
 _set_cusp = JordanTriple.cusp.__set__
 _set_rows = JordanTriple.rows.__set__
-_set_text = JordanTriple._text.__set__
 
 _EMPTY = ((), ())
 
@@ -527,12 +526,12 @@ def _admitted_ends(cusp, rho, n: int) -> tuple:
     return tuple(e for e in ends if abs(e) <= n and (n - e) % 2 == 0)
 
 
-def _admitted(cusp, rho, groups) -> tuple:
-    """The row maps at rho the peel admits on the sets of ``classify._window``'s size groups, with
-    their items: per size, a word per choice of up steps of a walk to an admitted end (step i leaves
-    parity i), no set read if none; per set, each ``_item`` written once, a row's joined by lookup."""
+def _admitted(cusp, rho, groups):
+    """Each set of ``classify._window``'s size groups at rho as ``(jord, blocks, words)``: its jord
+    items and the words the peel admits on its size, shared by the size's sets (none read if there is
+    none): a word per choice of up steps of a walk to an admitted end (step i leaves parity i), signed
+    by ``_signed_row``, sorted once, + first, by letters where singles exist, else by pair signs."""
     derive = singles_defined(cusp, rho)
-    rows, items = [], []
     for n, _, sets in groups:
         down = [MINUS if i % 2 == 0 else PLUS for i in range(n)]
         words = []
@@ -541,17 +540,17 @@ def _admitted(cusp, rho, groups) -> tuple:
                 letters = down.copy()
                 for i in ups:
                     letters[i] = -letters[i]
-                words.append(tuple(letters))
-        for blocks in sets if words else ():
-            jord = "".join([_item(rho, (a,)) for a in blocks])
-            singles = [{v: _item(rho, (a,), v) for v in (PLUS, MINUS)} for a in blocks] if derive else ()
-            pairs = [{v: _item(rho, pair, v) for v in (PLUS, MINUS)} for pair in zip(blocks, blocks[1:])]
-            for word in words:
-                _, letters = row = _signed_row(blocks, word, derive)
-                rows.append({rho: row} if blocks else {})
-                items.append((jord, "".join(map(getitem, singles, letters)),
-                              "".join(map(getitem, pairs, map(mul, letters, letters[1:])))))
-    return rows, items
+                words.append(_signed_row((), tuple(letters), derive)[1])
+        words.sort(key=None if derive else lambda w: [*map(mul, w, w[1:])], reverse=True)
+        yield from ((_row_items(rho, blocks, (), ())[0], blocks, words) for blocks in (sets if words else ()))
+
+
+def _written(cusp, rho, jord, blocks, words):
+    """Each word's items ``(jord, single, pair)`` on the blocks at rho, lazily; ``_item`` writes each once."""
+    singles = [{v: _item(rho, (a,), v) for v in (PLUS, MINUS)} for a in blocks if singles_defined(cusp, rho)]
+    pairs = [{v: _item(rho, pair, v) for v in (PLUS, MINUS)} for pair in zip(blocks, blocks[1:])]
+    return ((jord, "".join(map(getitem, singles, word)), "".join(map(getitem, pairs, map(mul, word, word[1:]))))
+            for word in words)
 
 
 def is_admissible(t: JordanTriple):
@@ -699,10 +698,12 @@ def _line(cusp, parts) -> str:
 
 
 def triple_text(t: JordanTriple) -> str:
-    """Canonical one-line text, kept or of the rows' own items; parse_triple inverts it."""
+    """Canonical one-line text, of the rows' own items or kept from invalid input; parse_triple inverts it."""
     cusp = _checked(t, JordanTriple, "t").cusp
-    return t._text or _line(cusp, [_row_items(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (),
-                                              _pair_items(row)) for rho, row in t.rows.items()])
+    if t.rows is None:
+        return t._text
+    return _line(cusp, [_row_items(rho, row[0], zip(*row) if singles_defined(cusp, rho) else (),
+                                   _pair_items(row)) for rho, row in t.rows.items()])
 
 
 def _parse_sign(ch: str) -> int:

@@ -449,7 +449,8 @@ def test_admissible_rows_are_the_filtered_rows(cusp, rho):
     for n in range(11):
         for _ in range(2):
             blocks = tuple(sorted(rnd.sample(pool, n)))
-            built = [frozen_rows(rows) for rows in _admitted(cusp, rho, [(n, 1, (blocks,))])[0]]
+            built = [frozen_rows({rho: (blocks, word)} if blocks else {})
+                     for _, _, words in _admitted(cusp, rho, [(n, 1, (blocks,))]) for word in words]
             assert len(set(built)) == len(built), blocks
             assert set(built) == {frozen_rows(rows) for rows in reference_rows(cusp, rho, blocks)}, blocks
 

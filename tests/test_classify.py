@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -47,6 +48,8 @@ from segtriples import (
     validate_triple,
 )
 from segtriples.algebra import SizeLimitError
+from segtriples.classify import _in_text_order
+from segtriples.triples import _line, _written
 from helpers import collections_during, condition3_checks, odd_triple, reference_text, run_cli
 
 r = CuspidalSymbol("r", 1, ODD)
@@ -55,6 +58,11 @@ C0 = CuspidalSupport("c0")
 C1 = CuspidalSupport("c1", {r: {1}})
 C17 = CuspidalSupport("c17", {r: {1, 7}})
 SYMBOLS = {"r": r, "q": q}
+
+
+def stream_lines(cusp, symbols, max_a=None, max_jord=None, jord_sets=None):
+    """The lines the ``enumerate`` command writes for the window, from the construction it reads."""
+    return [_line(cusp, parts) for parts in _in_text_order(cusp, _written, symbols, max_a, max_jord, jord_sets)]
 
 
 # -- canonical chains ------------------------------------------------------
@@ -523,6 +531,76 @@ def test_listed_sets_build_each_size_s_words_once(monkeypatch):
     assert got == alone and len(got) == 3 * 2 + 2 * 3
 
 
+def test_a_set_listed_twice_gives_each_triple_twice_in_turn():
+    # the copies interleave as a stable sort by text leaves them: t1, t1, t2, t2, never t1, t2, t1, t2
+    t1, t2 = enumerate_admissible(C0, [q], jord_sets={"q": [[2, 4]]})
+    assert enumerate_admissible(C0, [q], jord_sets={"q": [[2, 4], [2, 4]]}) == [t1, t1, t2, t2]
+    one = enumerate_admissible(C0, [r, q], jord_sets={"r": [[1, 3]], "q": [[2, 4]]})
+    both = enumerate_admissible(C0, [r, q], jord_sets={"r": [[1, 3], [1, 3]], "q": [[2, 4], [2, 4]]})
+    assert len(one) == 4 and both == [t for t in one for _ in range(4)]
+
+
+# "!b", "#", "0" and "1" sort below ";" in ASCII, so once " ; single=" follows a jord text,
+# " 0:1 1:1 ; single=" sorts before " 0:1 ; single=", though " 0:1" is a prefix of " 0:1 1:1"
+ORDER_IDS = ["!b", "#", "0", "1", "a", "r"]
+
+
+@st.composite
+def order_windows(draw):
+    """A support and a window over 1-3 symbols, ids from ORDER_IDS, each odd or even; the
+    support gives some of them blocks, so both single words and pair-sign words occur; the
+    window is set by max_a, by max_jord, or by jord_sets that list one set twice."""
+    ids = draw(st.lists(st.sampled_from(ORDER_IDS), min_size=1, max_size=3, unique=True))
+    symbols = [CuspidalSymbol(i, 1, draw(st.sampled_from([ODD, EVEN]))) for i in ids]
+    cusp = CuspidalSupport("c", {rho: draw(st.sets(st.sampled_from(rho.blocks_upto(4)), max_size=1))
+                                 for rho in symbols})
+    top = 11 - 2 * len(ids)
+    form = draw(st.sampled_from(["max_a", "max_jord", "jord_sets"]))
+    if form == "max_a":
+        return cusp, symbols, {"max_a": draw(st.integers(0, top))}
+    if form == "max_jord":
+        return cusp, symbols, {"max_a": top + 2, "max_jord": draw(st.integers(0, 2))}
+    sets = {rho.id: draw(st.lists(st.lists(st.sampled_from(rho.blocks_upto(top)), max_size=4, unique=True),
+                                  min_size=1, max_size=3)) for rho in symbols}
+    twice = sets[draw(st.sampled_from(ids))]
+    twice.insert(draw(st.integers(0, len(twice))), twice[draw(st.integers(0, len(twice) - 1))])
+    return cusp, symbols, {"jord_sets": sets}
+
+
+def sorted_by_text(cusp, symbols, max_a=None, max_jord=None, jord_sets=None):
+    """The window's admissible triples built as the product of each symbol's block sets, in the
+    window's order, and their rows, from every sign word the peel admits, then stably sorted by
+    text: the generate-then-sort the enumeration's construction replaces."""
+    per_symbol = []
+    for rho in sorted(symbols, key=lambda s: s.id):
+        if jord_sets is not None:
+            block_sets = [tuple(sorted(blocks)) for blocks in jord_sets[rho.id]]
+        else:
+            pool = rho.blocks_upto(max_a)
+            block_sets = [c for n in range(len(pool) + 1) if max_jord is None or n <= max_jord
+                          for c in itertools.combinations(pool, n)]
+        rows = []
+        for blocks in block_sets:
+            # every word where singles are defined, else every word that starts at +1
+            first = () if singles_defined(cusp, rho) or not blocks else (PLUS,)
+            rows += [(blocks, first + bits)
+                     for bits in itertools.product((PLUS, MINUS), repeat=len(blocks) - len(first))]
+        per_symbol.append([{rho: row} if row[0] else {} for row in rows
+                           if segtriples.triples._peel(cusp, rho, row) is not None])
+    found = [JordanTriple._of_rows(cusp, {k: v for rows in combo for k, v in rows.items()})
+             for combo in itertools.product(*per_symbol)]
+    return sorted(found, key=triple_text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_windows())
+def test_the_enumeration_is_built_in_text_order(window):
+    cusp, symbols, bounds = window
+    got = enumerate_admissible(cusp, symbols, **bounds)
+    assert got == sorted_by_text(cusp, symbols, **bounds)
+    assert stream_lines(cusp, symbols, **bounds) == list(map(triple_text, got))
+
+
 def test_enumeration_leaves_no_young_pass_owed():
     passes, found = collections_during(lambda: enumerate_admissible(C0, [r, q], max_a=9))
     assert gc.get_count()[0] < gc.get_threshold()[0]
@@ -620,13 +698,15 @@ def test_dominance_edges_read_any_iterable_of_triples_once():
     (C1, [r, q], 9, 1575),
 ])
 def test_enumerated_triples_keep_their_canonical_text(cusp, symbols, max_a, count):
+    # no triple keeps a text: each is written afresh, and is the line the enumerate stream writes
     got = enumerate_admissible(cusp, symbols, max_a=max_a)
     assert len(got) == count
     texts = [triple_text(t) for t in got]
     assert texts == sorted(texts)
+    assert texts == stream_lines(cusp, symbols, max_a=max_a)
     for t, text in zip(got, texts):
         fresh = JordanTriple._of_rows(t.cusp, t.rows)
-        assert t._text == text and fresh._text is None
+        assert not hasattr(t, "_text") and not hasattr(fresh, "_text")
         assert text == triple_text(fresh)
 
 
@@ -638,8 +718,7 @@ def test_enumerated_text_is_the_row_text(cusp, symbols, window):
     # the texts written once per block set, over windows of the other two forms
     got = enumerate_admissible(cusp, symbols, **window)
     assert all(any(t.jord_of(rho) for t in got) for rho in symbols)
-    for t in got:
-        assert t._text == reference_text(t)
+    assert stream_lines(cusp, symbols, **window) == [reference_text(t) for t in got]
 
 
 def test_enumeration_output_is_pinned(tmp_path):
@@ -654,14 +733,28 @@ def test_enumeration_output_is_pinned(tmp_path):
         "1b8f6b4e41e2cbfe0da72a80fee2d5361da5820c65ff37d87ecbbd5e9b26ba0d")
 
 
+def test_dominance_dag_output_is_pinned(tmp_path):
+    # 13,536 nodes and 46,224 edges, each node's line joined once from the enumerate stream
+    config = tmp_path / "window.json"
+    config.write_text(json.dumps({
+        "symbols": [{"id": "r", "rank": 1, "parity": "odd"}, {"id": "q", "rank": 2, "parity": "even"}],
+        "supports": [{"id": "c0"}],
+        "bounds": {"support": "c0", "symbols": ["r", "q"], "max_a": 11}}))
+    code, out, _ = run_cli(["dominance-dag", "--config", str(config)])
+    assert code == 0 and out.count("\n") == 59_762 and out.count(" -> ") == 46_224
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6ef8191a5381938e380f4b701809818ebc6b965c36440b167f6349876471bd4f")
+
+
 def test_a_kept_text_takes_no_part_in_equality_hash_or_repr():
+    # an enumerated triple keeps no text: its repr is written afresh, as the stream's line
     t = enumerate_admissible(C0, [r], max_a=5)[-1]
     fresh = JordanTriple._of_rows(t.cusp, t.rows)
-    assert t._text is not None
+    assert repr(t) == f"JordanTriple<{stream_lines(C0, [r], max_a=5)[-1]}>"
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     # a step's result is built from rows and renders afresh
     red = subordinate_reductions(t)[0]
-    assert red.result._text is None
+    assert not hasattr(red.result, "_text")
 
 
 @pytest.fixture
@@ -679,7 +772,8 @@ def text_builds(monkeypatch):
 
 
 def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
-    # each item of a block set that keeps a row is written once, for both signs, none per row
+    # each item of a block set that keeps a row is written once, for both signs, none per row,
+    # by the stream both commands read; the triples alone write only the jord items, for the order
     got = enumerate_admissible(C0, [r, q], max_a=7)
     block_sets = {(rho, t.jord_of(rho)) for t in got for rho in (r, q)}
     items = Counter()
@@ -687,7 +781,7 @@ def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
         items.update((rho, (a,)) for a in blocks)
         items.update((rho, (a,), v) for a in blocks for v in (PLUS, MINUS) if singles_defined(C0, rho))
         items.update((rho, pair, v) for pair in zip(blocks, blocks[1:]) for v in (PLUS, MINUS))
-    assert Counter(text_builds) == items
+    assert Counter(text_builds) == Counter({item: n for item, n in items.items() if len(item) == 2})
     assert len(block_sets) < len(got)
     config = tmp_path / "window.json"
     config.write_text(json.dumps({
@@ -699,7 +793,7 @@ def test_enumeration_writes_each_surviving_row_once(text_builds, tmp_path):
         code, out, err = run_cli([command, "--config", str(config)])
         assert code == 0, err
         assert out.count("cusp=c0") >= len(got)
-        assert Counter(text_builds) <= items
+        assert Counter(text_builds) == items
     text_builds.clear()
     with pytest.raises(ValueError, match="over the limit"):
         enumerate_admissible(C0, [r, q], max_a=17)
@@ -889,9 +983,9 @@ def built_triples(monkeypatch):
     calls = []
     of_rows = JordanTriple._of_rows
 
-    def counted(cls, cusp, rows, text=None):
+    def counted(cls, cusp, rows):
         calls.append(rows)
-        return of_rows(cusp, rows, text)
+        return of_rows(cusp, rows)
 
     monkeypatch.setattr(JordanTriple, "_of_rows", classmethod(counted))
     return calls

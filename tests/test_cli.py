@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import segtriples
-from segtriples import GSpinTerm, cli, expand_induced, induce, render_term
+import segtriples.classify
+import segtriples.triples
+from segtriples import GSpinTerm, JordanTriple, cli, expand_induced, induce, render_term
 from segtriples.config import load_config, parse_segment_spec
 
 from helpers import run_cli
@@ -300,6 +302,27 @@ def test_mu_star_writes_each_term_as_render_term_does():
     code, out, err = run_cli(TOWER_4)
     assert (code, err) == (0, "")
     assert out.splitlines() == [render_term(t, c) for t, c in expansion.terms]
+
+
+def test_enumerate_and_the_dag_write_each_line_once_from_the_stream(monkeypatch):
+    # enumerate joins each line from the ordered construction's items and builds no triple; the
+    # dag takes its node and edge texts from that stream and writes no triple's text afresh
+    built, written = [], []
+    of_rows, text = JordanTriple._of_rows, segtriples.triples.triple_text
+    monkeypatch.setattr(JordanTriple, "_of_rows", classmethod(lambda cls, cusp, rows: built.append(rows)
+                                                              or of_rows(cusp, rows)))
+    for module in (segtriples.triples, segtriples.classify, cli):
+        monkeypatch.setattr(module, "triple_text", lambda t: written.append(t) or text(t))
+    for name, argv in [("enumerate_base.txt", ["enumerate", "--config", BASE]),
+                       ("dag_even.txt", ["dominance-dag", "--config", DAG_EVEN])]:
+        built.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert (code, out.getvalue()) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
+        nodes = out.getvalue().count(" ; pair=") - 2 * out.getvalue().count(" -> ")
+        assert len(built) >= nodes > 0 if name == "dag_even.txt" else built == []
+    assert written == []
 
 
 def test_a_stdout_with_no_buffer_takes_the_text():
